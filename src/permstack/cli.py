@@ -2,13 +2,16 @@
 
 Subcommands: sort, table, preimages, fertility, orbit, periodic, image,
 verify, clump, inverse.  Exit codes: 0 success (verify: all checks pass),
-1 failed verification, 2 unparseable word/pattern text, 3 invalid pattern
-set (empty, length-1 pattern, non-permutation, or one unusable for the
-requested operation), 4 size cap exceeded.
+1 failed verification, 2 unparseable word/pattern text or a bad option
+value (--n below 0, --max-n or --parallel below 1, a format the command
+does not print), 3 invalid pattern set (empty, length-1 pattern,
+non-permutation, or one unusable for the requested operation), 4 size cap
+exceeded.
 
 The hard sweep cap is 12; the PERMSTACK_MAX_N environment variable can
 lower it (values above 12 are clamped).  All output is deterministic and
-independent of --parallel.
+independent of --parallel, which is bounded by the sweep's first-letter
+jobs and the CPU count.
 """
 
 from __future__ import annotations
@@ -63,7 +66,11 @@ def _word(args) -> Word:
         raise CliError(EXIT_PARSE, f"bad --perm: {exc}")
 
 
-def _check_cap(n: int) -> None:
+def _check_size(n: int, least: int = 0, flag: str = "n") -> None:
+    """The one range check on sizes: below least is a usage error, above
+    the sweep cap a cap error."""
+    if n < least:
+        raise CliError(EXIT_PARSE, f"{flag} must be at least {least}, got {n}")
     cap = hard_cap()
     if n > cap:
         raise CliError(EXIT_CAP, f"n={n} exceeds the cap of {cap}")
@@ -122,7 +129,7 @@ def cmd_clump(args) -> int:
 def cmd_preimages(args) -> int:
     tset = _patterns(args)
     gamma = _word(args)
-    _check_cap(len(gamma))
+    _check_size(len(gamma))
     try:
         pre = sorted(dyn.preimages(gamma, tset))
     except ValueError as exc:
@@ -139,7 +146,7 @@ def cmd_preimages(args) -> int:
 
 def cmd_fertility(args) -> int:
     tset = _patterns(args)
-    _check_cap(args.n)
+    _check_size(args.n, 0, "--n")
     try:
         rep = dyn.fertility_max(tset, args.n, args.parallel)
     except ValueError as exc:
@@ -159,7 +166,7 @@ def cmd_fertility(args) -> int:
 def cmd_orbit(args) -> int:
     tset = _patterns(args)
     w = _word(args)
-    _check_cap(len(w))
+    _check_size(len(w))
     try:
         rep = dyn.orbit(w, tset)
     except ValueError as exc:
@@ -178,7 +185,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_periodic(args) -> int:
     tset = _patterns(args)
-    _check_cap(args.n)
+    _check_size(args.n, 0, "--n")
     cycles = dyn.orbit_partition(tset, args.n, args.parallel)
     count = sum(len(c) for c in cycles)
     payload = {
@@ -194,14 +201,14 @@ def cmd_periodic(args) -> int:
 
 def cmd_image(args) -> int:
     tset = _patterns(args)
-    _check_cap(args.n)
+    _check_size(args.n, 0, "--n")
     size = dyn.image_size(tset, args.n, args.parallel)
     _emit(args, {"n": args.n, "image_size": size}, str(size))
     return 0
 
 
 def cmd_table(args) -> int:
-    _check_cap(args.max_n)
+    _check_size(args.max_n, 1, "--max-n")
     table = dyn.build_sort_table(args.max_n, args.parallel)
     if args.format == "json":
         print(json.dumps(table.as_dict()))
@@ -228,7 +235,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_cap(args.max_n)
+    _check_size(args.max_n, 1, "--max-n")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     checks = verify.run_suites(names, args.max_n, args.parallel)
     failed = [c for c in checks if not c.ok]
@@ -289,6 +296,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format == "csv" and args.command != "table":
         print("csv output is only available for `table`", file=sys.stderr)
+        return EXIT_PARSE
+    if args.format == "json" and args.command == "verify":
+        print("verify prints text only", file=sys.stderr)
+        return EXIT_PARSE
+    if args.parallel < 1:
+        print(f"--parallel must be at least 1, got {args.parallel}", file=sys.stderr)
         return EXIT_PARSE
     try:
         return args.func(args)

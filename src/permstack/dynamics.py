@@ -16,13 +16,14 @@ merge deterministically, so output never depends on the worker count.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
 from .machine import (
-    _can_push,
+    _enter,
     legal_movement_sequences,
     reconstruct_input,
     sort,
@@ -69,11 +70,7 @@ def _extend_images(
         if used[x]:
             continue
         used[x] = True
-        popped = 0
-        while stack and not _can_push(x, stack, patterns):
-            out.append(stack.pop())
-            popped += 1
-        stack.append(x)
+        popped = _enter(x, stack, out, patterns)
         _extend_images(patterns, n, used, stack, out, images)
         stack.pop()
         for _ in range(popped):
@@ -90,23 +87,31 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     return images
 
 
+def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list[Word]:
+    """Run subtree((tset, n, first)) for each first letter of S_n, over at
+    most min(workers, n, CPUs) processes, and concatenate the parts in
+    lexicographic input order."""
+    if not 0 <= n <= MAX_ENUM_N:
+        raise ValueError(f"exhaustive sweeps are capped at n <= {MAX_ENUM_N}")
+    if n == 0:
+        return [()]
+    jobs = [(tset, n, first) for first in range(1, n + 1)]
+    workers = min(workers, n, os.cpu_count() or 1)
+    if workers > 1 and factorial(n) >= 5000:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(subtree, jobs))
+    else:
+        parts = [subtree(job) for job in jobs]
+    return [img for part in parts for img in part]
+
+
 def sort_images(tset: PatternSet, n: int, workers: int = 1) -> list[Word]:
     """Machine outputs across S_n, in lexicographic input order.
 
     Equal to [sort(p, tset) for p in enumerate_permutations(n)] but shares
     stack state across inputs with a common prefix.
     """
-    if not 0 <= n <= MAX_ENUM_N:
-        raise ValueError(f"exhaustive sweeps are capped at n <= {MAX_ENUM_N}")
-    if n == 0:
-        return [()]
-    jobs = [(tset, n, first) for first in range(1, n + 1)]
-    if workers > 1 and factorial(n) >= 5000:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_subtree_images, jobs))
-    else:
-        parts = [_subtree_images(job) for job in jobs]
-    return [img for part in parts for img in part]
+    return _fan_out(_subtree_images, tset, n, workers)
 
 
 def sort_map(tset: PatternSet, n: int, workers: int = 1) -> dict[Word, Word]:
@@ -169,18 +174,7 @@ def _machine_subtree(args: tuple[PatternSet, int, int]) -> list[Word]:
 
 def machine_images(first: Word, second: Word, n: int, workers: int = 1) -> list[Word]:
     """Two-stage machine outputs across S_n in lexicographic input order."""
-    if not 0 <= n <= MAX_ENUM_N:
-        raise ValueError(f"exhaustive sweeps are capped at n <= {MAX_ENUM_N}")
-    if n == 0:
-        return [()]
-    stage = pattern_set(first, second)
-    jobs = [(stage, n, s) for s in range(1, n + 1)]
-    if workers > 1 and factorial(n) >= 5000:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_machine_subtree, jobs))
-    else:
-        parts = [_machine_subtree(job) for job in jobs]
-    return [img for part in parts for img in part]
+    return _fan_out(_machine_subtree, pattern_set(first, second), n, workers)
 
 
 def sort_set(first: Word, second: Word, n: int, workers: int = 1) -> set[Word]:

@@ -41,6 +41,16 @@ def _can_push(x: int, stack: list[int], patterns: frozenset) -> bool:
     return _push_keeps_avoiding(pattern_of((x, *reversed(stack))), patterns)
 
 
+def _enter(x: int, stack: list[int], out: list[int], patterns: frozenset) -> int:
+    """The one step rule: pop until x may be pushed, push it, return the pops."""
+    popped = 0
+    while stack and not _can_push(x, stack, patterns):
+        out.append(stack.pop())
+        popped += 1
+    stack.append(x)
+    return popped
+
+
 def sort(w: Word, tset: PatternSet) -> Word:
     """Run the machine on w and return the output, a rearrangement of w.
 
@@ -54,11 +64,8 @@ def sort(w: Word, tset: PatternSet) -> Word:
     out: list[int] = []
     stack: list[int] = []
     for x in w:
-        while stack and not _can_push(x, stack, patterns):
-            out.append(stack.pop())
-        stack.append(x)
-    while stack:
-        out.append(stack.pop())
+        _enter(x, stack, out, patterns)
+    out.extend(reversed(stack))
     return tuple(out)
 
 
@@ -87,29 +94,27 @@ def sort_with_trace(
     patterns = tset.patterns
     out: list[int] = []
     stack: list[int] = []
-    steps: list[str] = []
-    events: list[TraceEvent] = []
-
-    def pop_top() -> None:
-        top = stack.pop()
-        out.append(top)
-        steps.append(EXIT)
-        events.append(TraceEvent(EXIT, top, tuple(reversed(stack)), tuple(out)))
-
-    for x in w:
-        while stack and not _can_push(x, stack, patterns):
-            pop_top()
-        stack.append(x)
-        steps.append(ENTER)
-        events.append(TraceEvent(ENTER, x, tuple(reversed(stack)), tuple(out)))
-    while stack:
-        pop_top()
-    return tuple(out), "".join(steps), tuple(events)
+    steps = "".join(EXIT * _enter(x, stack, out, patterns) + ENTER for x in w)
+    steps += EXIT * len(stack)
+    out.extend(reversed(stack))
+    return tuple(out), steps, _replay(w, steps)
 
 
-def movement_sequence(w: Word, tset: PatternSet) -> str:
-    """The N/X step string the machine follows on w."""
-    return sort_with_trace(w, tset)[1]
+def _replay(w: Word, steps: str) -> tuple[TraceEvent, ...]:
+    """Play steps forwards over w, logging each state (reconstruct_input's twin)."""
+    letters = iter(w)
+    stack: list[int] = []
+    out: list[int] = []
+    events = []
+    for ch in steps:
+        if ch == ENTER:
+            x = next(letters)
+            stack.append(x)
+        else:
+            x = stack.pop()
+            out.append(x)
+        events.append(TraceEvent(ch, x, tuple(reversed(stack)), tuple(out)))
+    return tuple(events)
 
 
 @dataclass(frozen=True)

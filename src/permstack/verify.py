@@ -157,9 +157,10 @@ def _sharpness_checks(pattern, max_n: int, workers: int) -> list[Check]:
         ok, detail = True, ""
         for n in range(k, max_n + 1):
             rep = dyn.fertility_max(tset, n, workers)
+            bound = catalan(n - k + 2)
             target = dyn.extremal_target(pattern, n)
-            if rep.max_count != rep.bound:
-                ok, detail = False, f"n={n}: max {rep.max_count} != bound {rep.bound}"
+            if rep.max_count != bound:
+                ok, detail = False, f"n={n}: max {rep.max_count} != bound {bound}"
                 break
             if target not in rep.witnesses:
                 ok, detail = False, f"n={n}: target {format_word(target)} not a witness"
@@ -172,8 +173,9 @@ def _sharpness_checks(pattern, max_n: int, workers: int) -> list[Check]:
         ok, detail = True, ""
         for n in range(k + 1, max_n + 1):
             rep = dyn.fertility_max(tset, n, workers)
-            if rep.max_count >= rep.bound:
-                ok, detail = False, f"n={n}: max {rep.max_count} reaches bound {rep.bound}"
+            bound = catalan(n - k + 2)
+            if rep.max_count >= bound:
+                ok, detail = False, f"n={n}: max {rep.max_count} reaches bound {bound}"
                 break
         checks.append(Check(f"bound unattained ({label})", ok, detail))
     return checks
@@ -200,8 +202,8 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
         cycle_len = (n + 2) // 2
-        f = dyn.sort_map(tset, n, workers)
-        points = dyn._periodic_from_map(f)
+        cycles = dyn.orbit_partition(tset, n, workers)
+        points = {p for cycle in cycles for p in cycle}
         half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
         ok = points == half_dec
         checks.append(
@@ -211,7 +213,6 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
                 "" if ok else f"{len(points)} periodic vs {len(half_dec)} half-decreasing",
             )
         )
-        cycles = dyn.orbit_partition(tset, n, workers)
         counts_ok = (
             len(half_dec) == factorial((n + 2) // 2)
             and len(cycles) == factorial(n // 2)
@@ -226,7 +227,7 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
         )
         if n >= 3:
             bad = next(
-                (p for p in half_dec if dyn.half_decreasing_step(p) != f[p]), None
+                (p for p in half_dec if dyn.half_decreasing_step(p) != sort(p, tset)), None
             )
             checks.append(
                 Check(

@@ -1,19 +1,21 @@
 """Acceptance gate: one test per headline claim, each at its stated size.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion.  Every expected value here is either a hand-traced constant, a
-value verified against an independent oracle implemented in this file, or
-a closed-form count (catalan / factorial).
+criterion.  Criteria 3-7, 9 and 12 are thin callers of the verify suite
+that states the claim, so each claim is coded once; what a suite does not
+assert stays here as a direct line.  Every other expected value is either
+a hand-traced constant, a value verified against an independent oracle
+implemented in this file, or a closed-form count (catalan / factorial).
 """
 
 import itertools
 from math import factorial
 
 from permstack import dynamics as dyn
-from permstack.machine import movement_sequence, sort, sort_recursive
+from permstack import verify
+from permstack.machine import sort, sort_with_trace
 from permstack.words import (
     catalan,
-    complement,
     enumerate_avoiders,
     enumerate_permutations,
     identity,
@@ -21,12 +23,18 @@ from permstack.words import (
     reverse_identity,
 )
 
-S3 = sorted(itertools.permutations((1, 2, 3)))
+
+def passing_suite(name, max_n):
+    """Run one verify suite and require every one of its checks to pass."""
+    checks = verify.SUITES[name](max_n)
+    failed = [(c.name, c.detail) for c in checks if not c.ok]
+    assert not failed, failed
+    return checks
 
 
 def test_criterion_01_figure_regression():
     assert sort((1, 3, 2), pattern_set("21")) == (1, 2, 3)
-    assert movement_sequence((1, 3, 2), pattern_set("21")) == "NXNNXX"
+    assert sort_with_trace((1, 3, 2), pattern_set("21"))[1] == "NXNNXX"
     print("PASS criterion 1: classical sort of 132 gives 123 via NXNNXX")
 
 
@@ -117,72 +125,34 @@ def test_criterion_02_sort_table_reproduction():
 
 
 def test_criterion_03_catalan_machine_law():
-    expected = (1, 2, 5, 14, 42, 132)
-    for sigma in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
-        tau = (sigma[1], sigma[0]) + sigma[2:]
-        got = tuple(dyn.sort_count(sigma, tau, n) for n in range(1, 7))
-        assert got == expected, f"machine ({sigma},{tau})"
-        assert got == tuple(catalan(n) for n in range(1, 7))
+    checks = passing_suite("machine-catalan", 6)
+    assert len(checks) == 3  # sigma = 123, 132, 231, each with its first-two swap
+    assert tuple(catalan(n) for n in range(1, 7)) == (1, 2, 5, 14, 42, 132)
     print("PASS criterion 3: swap-closed machines sort catalan(n) permutations, n<=6")
 
 
 def test_criterion_04_bijectivity_dichotomy():
-    tsets = [pattern_set(p) for p in S3]
-    tsets += [pattern_set(a, b) for a, b in itertools.combinations(S3, 2)]
-    tsets.append(pattern_set("21"))
-    n_true = 0
-    for tset in tsets:
-        crit = dyn.bijectivity_criterion(tset)
-        injective = all(dyn.verify_bijective(tset, n) is True for n in range(1, 8))
-        assert crit == injective, f"dichotomy fails for {sorted(tset)}"
-        if crit:
-            n_true += 1
-            for p in enumerate_permutations(7):
-                assert dyn.inverse_sort(sort(p, tset), tset) == p
-    assert n_true == 3  # exactly the three swap-closed pairs
+    checks = passing_suite("bijectivity", 7)
+    # 6 single patterns, 15 pairs and {21}; exactly the three swap-closed
+    # pairs get the inverse round trip
+    assert sum(c.name.startswith("bijectivity criterion vs sweep") for c in checks) == 22
+    assert sum(c.name.startswith("inverse round-trip") for c in checks) == 3
     print("PASS criterion 4: criterion == exhaustive injectivity (n<=7); inverses round-trip on S_7")
 
 
-RECURSION_SETS = ("21", ("123",), ("132",), ("123", "132"), ("213", "231"), ("231", "321"))
-
-
 def test_criterion_05_recursion_oracle():
-    for names in RECURSION_SETS:
-        tset = pattern_set(names) if isinstance(names, str) else pattern_set(*names)
-        for n in range(0, 8):
-            for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n)):
-                assert sort_recursive(p, tset) == img, (sorted(tset), p)
+    assert len(passing_suite("recursion", 7)) == 6
     print("PASS criterion 5: simulation == clumping recursion on S_n, n<=7, six pattern sets")
 
 
 def test_criterion_06_preimage_bound_and_agreement():
-    for names in (("123", "132"), ("213", "231"), ("213",)):
-        tset = pattern_set(*names)
-        k = tset.min_len
-        bound = catalan(6 - k + 2)
-        table = dyn.preimage_map(tset, 6)
-        for gamma in enumerate_permutations(6):
-            via_moves = dyn.preimages(gamma, tset)
-            assert via_moves == table.get(gamma, set()), (sorted(tset), gamma)
-            assert len(via_moves) <= bound
+    assert len(passing_suite("bound", 6)) == 3
     print("PASS criterion 6: both preimage strategies agree on S_6; counts within the catalan bound")
 
 
 def test_criterion_07_sharpness_dichotomy():
-    for k, cap in ((3, 7), (4, 8)):
-        for sigma in itertools.permutations(range(1, k + 1)):
-            tset = pattern_set(sigma)
-            if abs(sigma[0] - sigma[1]) == 1:
-                for n in range(k, cap + 1):
-                    rep = dyn.fertility_max(tset, n)
-                    assert rep.max_count == rep.bound == catalan(n - k + 2), (sigma, n)
-                    target = dyn.extremal_target(sigma, n)
-                    assert target in rep.witnesses, (sigma, n)
-                    assert dyn.preimages(target, tset) == dyn.extremal_family(sigma, n), (sigma, n)
-            else:
-                for n in range(k + 1, cap + 1):
-                    rep = dyn.fertility_max(tset, n)
-                    assert rep.max_count < rep.bound == catalan(n - k + 2), (sigma, n)
+    checks = passing_suite("sharpness", 7)
+    assert len(checks) == 6 + 24  # every pattern of S_3 to n=7 and of S_4 to n=8
     print("PASS criterion 7: bound met exactly for consecutive-start patterns (S_3 to n=7, S_4 to n=8)")
 
 
@@ -201,11 +171,7 @@ def test_criterion_08_identity_preimages_of_213_machines():
 
 
 def test_criterion_09_complement_conjugation():
-    for names in (("123", "132"), ("213",), ("21",)):
-        tset = pattern_set(*names)
-        comp = tset.complemented()
-        for p in enumerate_permutations(6):
-            assert sort(complement(p), comp) == complement(sort(p, tset)), (names, p)
+    assert len(passing_suite("complement", 6)) == 3
     print("PASS criterion 9: complement conjugation holds pointwise on S_6 for three pattern sets")
 
 
@@ -213,15 +179,14 @@ def test_criterion_10_periodic_structure():
     tset = pattern_set("123", "132")
     for n in range(3, 9):
         cycle_len = (n + 2) // 2
-        f = dyn.sort_map(tset, n)
-        half_dec = {p for p in f if dyn.is_half_decreasing(p)}
-        assert dyn._periodic_from_map(f) == half_dec, n
+        half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
+        assert dyn.periodic_points(tset, n) == half_dec, n
         assert len(half_dec) == factorial(cycle_len), n
         cycles = dyn.orbit_partition(tset, n)
         assert len(cycles) == factorial(n // 2), n
         assert all(len(c) == cycle_len for c in cycles), n
         for p in half_dec:
-            assert dyn.half_decreasing_step(p) == f[p], (n, p)
+            assert dyn.half_decreasing_step(p) == sort(p, tset), (n, p)
     for p in enumerate_permutations(7):
         rep = dyn.orbit(p, tset)
         assert any(dyn.is_half_decreasing(q) for q in rep.tail + rep.cycle), p
@@ -238,12 +203,5 @@ def test_criterion_11_half_increasing_periodic_points():
 
 
 def test_criterion_12_conjecture_sweep():
-    for names in (("132", "213"), ("231", "213")):
-        tset = pattern_set(*names)
-        for n in range(1, 8):
-            ok, witness = dyn.trivial_periodic_points_only(tset, n)
-            assert ok, (
-                f"counterexample for {{{','.join(names)}}} at n={n}: "
-                f"{witness} is periodic but is neither the identity nor its reverse"
-            )
+    assert len(passing_suite("conjectures", 7)) == 2
     print("PASS criterion 12: only trivial periodic points found for {132,213} and {231,213}, n<=7")

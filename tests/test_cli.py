@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from permstack.cli import main
 
 
@@ -71,6 +73,38 @@ def test_exit_code_cap_exceeded(capsys):
     code, _, err = run(capsys, "image", "--patterns", "123", "--n", "13")
     assert code == 4
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("image", "--patterns", "123", "--n", "-1"),
+        ("periodic", "--patterns", "123,132", "--n", "-1"),
+        ("fertility", "--patterns", "213,231", "--n", "-1"),
+        ("table", "--max-n", "0"),
+        ("verify", "--suite", "recursion", "--max-n", "-1"),
+    ],
+)
+def test_exit_code_size_out_of_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_parallel_below_one_rejected(capsys, workers):
+    code, out, err = run(capsys, "image", "--patterns", "123", "--n", "3", "--parallel", workers)
+    assert code == 2
+    assert out == ""
+    assert "--parallel" in err
+
+
+def test_verify_rejects_json(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "recursion", "--max-n", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "text" in err
 
 
 def test_env_var_lowers_cap(capsys, monkeypatch):

@@ -34,9 +34,11 @@ def small_pattern_sets():
 # --- sweeps -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tset", [T_MAIN, pattern_set("213"), pattern_set("21")])
+@pytest.mark.parametrize(
+    "tset", [T_MAIN, pattern_set("213"), pattern_set("21"), pattern_set("123", "2143")]
+)
 def test_sort_images_matches_pointwise(tset):
-    for n in range(0, 7):
+    for n in range(0, 8):
         assert dyn.sort_images(tset, n) == [sort(p, tset) for p in enumerate_permutations(n)]
 
 
@@ -498,3 +500,31 @@ def test_parallel_sweeps_match_serial():
     rep1 = dyn.fertility_max(pattern_set("213", "231"), 7)
     assert rep2 == rep1
     assert dyn.sort_count((1, 3, 2), (3, 1, 2), 7, workers=2) == catalan(7)
+
+
+def test_workers_clamped_to_jobs_and_cpus(monkeypatch):
+    # a fake pool records the worker count and maps in this process, so no
+    # worker process is ever started
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(dyn, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dyn.os, "cpu_count", lambda: 64)
+    assert dyn.sort_images(T_MAIN, 7, workers=10_000) == dyn.sort_images(T_MAIN, 7)
+    monkeypatch.setattr(dyn.os, "cpu_count", lambda: 3)
+    assert dyn.sort_count((1, 3, 2), (3, 1, 2), 7, workers=10_000) == catalan(7)
+    monkeypatch.setattr(dyn.os, "cpu_count", lambda: None)
+    dyn.sort_images(T_MAIN, 7, workers=10_000)
+    assert requested == [7, 3]

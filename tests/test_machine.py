@@ -11,7 +11,6 @@ from permstack.machine import (
     is_legal_movement_sequence,
     is_movement_sequence,
     legal_movement_sequences,
-    movement_sequence,
     movement_sequences,
     reconstruct_input,
     sort,
@@ -108,7 +107,7 @@ def test_trace_invariants(n):
 def test_padded_steps_for_long_min_pattern():
     tset = pattern_set("3241", "2143")
     for p in enumerate_permutations(5):
-        steps = movement_sequence(p, tset)
+        steps = sort_with_trace(p, tset)[1]
         assert steps.startswith("NN") and steps.endswith("XX")
         # the first two letters sit at the stack bottom until the end
         assert sort(p, tset)[-2:] == (p[1], p[0])
@@ -128,9 +127,8 @@ def test_classical_specialization_matches_textbook():
             assert sort(p, CLASSICAL) == textbook_stack_sort(p)
 
 
-def naive_definition_sort(w, patterns):
-    # straight transcription of the push rule: keep the stack (read top to
-    # bottom, candidate on top) free of every pattern, else pop
+def naive_contains(word, p):
+    # every index combination, every pair of positions compared
     def iso(u, v):
         return len(u) == len(v) and all(
             (u[i] < u[j]) == (v[i] < v[j]) and (u[i] > u[j]) == (v[i] > v[j])
@@ -138,19 +136,47 @@ def naive_definition_sort(w, patterns):
             for j in range(len(u))
         )
 
-    def has_pattern(word, p):
-        return any(
-            iso([word[i] for i in c], p)
-            for c in itertools.combinations(range(len(word)), len(p))
-        )
+    return any(
+        iso([word[i] for i in c], p)
+        for c in itertools.combinations(range(len(word)), len(p))
+    )
 
-    out, stack = [], []  # stack[0] is the top
+
+def naive_trace(w, patterns):
+    # straight transcription of the push rule: keep the stack (read top to
+    # bottom, candidate on top) free of every pattern, else pop; logs
+    # (step, letter, stack top to bottom, output) after every move
+    out, stack, events = [], [], []  # stack[0] is the top
     for x in w:
-        while stack and any(has_pattern([x] + stack, p) for p in patterns):
+        while stack and any(naive_contains([x] + stack, p) for p in patterns):
             out.append(stack.pop(0))
+            events.append(("X", out[-1], tuple(stack), tuple(out)))
         stack.insert(0, x)
-    out.extend(stack)
-    return tuple(out)
+        events.append(("N", x, tuple(stack), tuple(out)))
+    while stack:
+        out.append(stack.pop(0))
+        events.append(("X", out[-1], tuple(stack), tuple(out)))
+    return events
+
+
+def naive_definition_sort(w, patterns):
+    events = naive_trace(w, patterns)
+    return events[-1][3] if events else ()
+
+
+@given(
+    st.lists(st.integers(1, 5), max_size=9),
+    st.sampled_from(
+        [pattern_set("123", "2143"), pattern_set("21", "1234"), T_MAIN, pattern_set("3241")]
+    ),
+)
+def test_trace_matches_naive_machine_step_by_step(letters, tset):
+    w = tuple(letters)
+    out, steps, events = sort_with_trace(w, tset)
+    expected = naive_trace(w, sorted(tset))
+    assert [(ev.step, ev.letter, ev.stack, ev.output) for ev in events] == expected
+    assert steps == "".join(ev[0] for ev in expected)
+    assert out == (expected[-1][3] if expected else ())
 
 
 @pytest.mark.parametrize(
@@ -328,7 +354,7 @@ def test_every_trace_is_legal():
         k = tset.min_len
         for n in range(k - 2, 6):
             for p in enumerate_permutations(n):
-                assert is_legal_movement_sequence(movement_sequence(p, tset), n, tset)
+                assert is_legal_movement_sequence(sort_with_trace(p, tset)[1], n, tset)
 
 
 def test_reconstruct_input_hand_case():
