@@ -1,12 +1,14 @@
 """Command line interface.
 
 Subcommands: sort, table, preimages, fertility, orbit, periodic, image,
-verify, clump, inverse.  Exit codes: 0 success (verify: all checks pass),
-1 failed verification, 2 unparseable word/pattern text or a bad option
-value (--n below 0, --max-n or --parallel below 1, a format the command
-does not print), 3 invalid pattern set (empty, length-1 pattern,
-non-permutation, or one unusable for the requested operation), 4 size cap
-exceeded.
+verify, clump, inverse.  The parser holds every usage rule: --format is
+text or json (table adds csv, verify prints text only), and only the sweep
+commands fertility, periodic, image, table and verify take --parallel.
+Exit codes: 0 success (verify: all checks pass), 1 failed verification,
+2 unparseable word/pattern text or a usage error (--n below 0, --max-n or
+--parallel below 1, an option the command does not take), 3 invalid
+pattern set (empty, length-1 pattern, non-permutation, or one unusable
+for the requested operation), 4 size cap exceeded.
 
 The hard sweep cap is 12; the PERMSTACK_MAX_N environment variable can
 lower it (values above 12 are clamped).  All output is deterministic and
@@ -40,16 +42,6 @@ class CliError(Exception):
         self.code = code
 
 
-def hard_cap() -> int:
-    raw = os.environ.get("PERMSTACK_MAX_N")
-    if raw is None:
-        return MAX_ENUM_N
-    try:
-        return min(MAX_ENUM_N, int(raw))
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"PERMSTACK_MAX_N={raw!r} is not an integer")
-
-
 def _patterns(args) -> PatternSet:
     try:
         return parse_patterns(args.patterns)
@@ -66,12 +58,13 @@ def _word(args) -> Word:
         raise CliError(EXIT_PARSE, f"bad --perm: {exc}")
 
 
-def _check_size(n: int, least: int = 0, flag: str = "n") -> None:
-    """The one range check on sizes: below least is a usage error, above
-    the sweep cap a cap error."""
-    if n < least:
-        raise CliError(EXIT_PARSE, f"{flag} must be at least {least}, got {n}")
-    cap = hard_cap()
+def _check_size(n: int) -> None:
+    """Refuse n above the sweep cap, which PERMSTACK_MAX_N can lower."""
+    raw = os.environ.get("PERMSTACK_MAX_N")
+    try:
+        cap = MAX_ENUM_N if raw is None else min(MAX_ENUM_N, int(raw))
+    except ValueError:
+        raise CliError(EXIT_PARSE, f"PERMSTACK_MAX_N={raw!r} is not an integer")
     if n > cap:
         raise CliError(EXIT_CAP, f"n={n} exceeds the cap of {cap}")
 
@@ -146,7 +139,7 @@ def cmd_preimages(args) -> int:
 
 def cmd_fertility(args) -> int:
     tset = _patterns(args)
-    _check_size(args.n, 0, "--n")
+    _check_size(args.n)
     try:
         rep = dyn.fertility_max(tset, args.n, args.parallel)
     except ValueError as exc:
@@ -185,7 +178,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_periodic(args) -> int:
     tset = _patterns(args)
-    _check_size(args.n, 0, "--n")
+    _check_size(args.n)
     cycles = dyn.orbit_partition(tset, args.n, args.parallel)
     count = sum(len(c) for c in cycles)
     payload = {
@@ -201,14 +194,14 @@ def cmd_periodic(args) -> int:
 
 def cmd_image(args) -> int:
     tset = _patterns(args)
-    _check_size(args.n, 0, "--n")
+    _check_size(args.n)
     size = dyn.image_size(tset, args.n, args.parallel)
     _emit(args, {"n": args.n, "image_size": size}, str(size))
     return 0
 
 
 def cmd_table(args) -> int:
-    _check_size(args.max_n, 1, "--max-n")
+    _check_size(args.max_n)
     table = dyn.build_sort_table(args.max_n, args.parallel)
     if args.format == "json":
         print(json.dumps(table.as_dict()))
@@ -235,7 +228,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_size(args.max_n, 1, "--max-n")
+    _check_size(args.max_n)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     checks = verify.run_suites(names, args.max_n, args.parallel)
     failed = [c for c in checks if not c.ok]
@@ -247,6 +240,16 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
+def _at_least(least: int):
+    """The argparse type of an integer option with a lower bound."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permstack",
@@ -256,18 +259,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str, *, patterns=False, perm=False, n=False, max_n=False):
+    def add(name: str, func, help_: str, *, patterns=False, perm=False, n=False, max_n=False,
+            formats=("text", "json")):
         p = sub.add_parser(name, help=help_)
         if patterns:
             p.add_argument("--patterns", required=True, help='forbidden patterns, e.g. "123,132"')
         if perm:
             p.add_argument("--perm", required=True, help='input word, e.g. "52413" or "5,2,4,1,3"')
         if n:
-            p.add_argument("--n", type=int, required=True, help="length swept exhaustively")
+            p.add_argument("--n", type=_at_least(0), required=True, help="length swept exhaustively")
         if max_n:
-            p.add_argument("--max-n", type=int, default=7, help="largest length swept (default 7)")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--parallel", type=int, default=1, help="worker processes for sweeps")
+            p.add_argument("--max-n", type=_at_least(1), default=7, help="largest length swept (default 7)")
+        p.add_argument("--format", choices=formats, default="text")
+        if n or max_n:  # the sweep commands
+            p.add_argument("--parallel", type=_at_least(1), default=1, help="worker processes for sweeps")
         p.set_defaults(func=func)
         return p
 
@@ -280,8 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("orbit", cmd_orbit, "iterate the map until it cycles", patterns=True, perm=True)
     add("periodic", cmd_periodic, "periodic points of S_n grouped into cycles", patterns=True, n=True)
     add("image", cmd_image, "number of distinct outputs on S_n", patterns=True, n=True)
-    add("table", cmd_table, "identity-preimage counts for all pairs of length-3 patterns", max_n=True)
-    p = add("verify", cmd_verify, "run exhaustive verification suites", max_n=True)
+    add("table", cmd_table, "identity-preimage counts for all pairs of length-3 patterns", max_n=True,
+        formats=("text", "json", "csv"))
+    p = add("verify", cmd_verify, "run exhaustive verification suites", max_n=True, formats=("text",))
     p.add_argument(
         "--suite",
         choices=tuple(verify.SUITES) + ("all",),
@@ -292,17 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "table":
-        print("csv output is only available for `table`", file=sys.stderr)
-        return EXIT_PARSE
-    if args.format == "json" and args.command == "verify":
-        print("verify prints text only", file=sys.stderr)
-        return EXIT_PARSE
-    if args.parallel < 1:
-        print(f"--parallel must be at least 1, got {args.parallel}", file=sys.stderr)
-        return EXIT_PARSE
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

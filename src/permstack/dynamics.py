@@ -289,23 +289,19 @@ def build_sort_table(max_n: int, workers: int = 1) -> SortTable:
 # preimages and fertility
 
 
-def preimages(gamma: Word, tset: PatternSet, method: str = "movement") -> set[Word]:
+def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     """All permutations the machine sends to gamma.
 
-    method "movement" rebuilds one candidate from each shaped movement
-    sequence and keeps those that really sort to gamma (distinct preimages
-    always follow distinct sequences, so nothing is missed); "brute"
-    filters all of S_n.  The two agree, which the tests sweep exhaustively.
+    Rebuilds one candidate from each shaped movement sequence and keeps
+    those that really sort to gamma (distinct preimages always follow
+    distinct sequences, so nothing is missed).  The tests compare it with
+    filtering all of S_n, exhaustively at small n.
     """
     if not is_permutation(gamma):
         raise ValueError("preimages are computed for permutations")
     n = len(gamma)
     if not 0 <= n <= MAX_ENUM_N:
         raise ValueError(f"preimage search is capped at n <= {MAX_ENUM_N}")
-    if method == "brute":
-        return {p for p in enumerate_permutations(n) if sort(p, tset) == gamma}
-    if method != "movement":
-        raise ValueError(f"unknown method {method!r}")
     k = tset.min_len
     if n < k - 2:
         # no pattern can ever fit in the stack: the machine just reverses
@@ -512,49 +508,30 @@ def orbit(p: Word, tset: PatternSet) -> OrbitReport:
         seq.append(cur)
 
 
-def _periodic_from_map(f: dict[Word, Word]) -> set[Word]:
-    state: dict[Word, int] = {}  # 1 on the current walk, 2 settled
-    periodic: set[Word] = set()
-    for start in f:
-        if start in state:
-            continue
-        path: list[Word] = []
-        cur = start
-        while cur not in state:
-            state[cur] = 1
-            path.append(cur)
-            cur = f[cur]
-        if state[cur] == 1:
-            periodic.update(path[path.index(cur) :])
-        for q in path:
-            state[q] = 2
-    return periodic
-
-
-def periodic_points(tset: PatternSet, n: int, workers: int = 1) -> set[Word]:
-    """All permutations of S_n lying on a cycle of the map."""
-    return _periodic_from_map(sort_map(tset, n, workers))
-
-
 def orbit_partition(tset: PatternSet, n: int, workers: int = 1) -> tuple[tuple[Word, ...], ...]:
     """The periodic points grouped into their disjoint cycles; each cycle
     starts at its lexicographically least member, cycles sorted by that
     member."""
     f = sort_map(tset, n, workers)
-    points = _periodic_from_map(f)
+    walk: dict[Word, Word] = {}  # point -> start of the walk that first reached it
     cycles = []
-    seen: set[Word] = set()
-    for p in sorted(points):
-        if p in seen:
-            continue
-        cyc = [p]
-        cur = f[p]
-        while cur != p:
-            cyc.append(cur)
+    for start in f:
+        path = []
+        cur = start
+        while cur not in walk:
+            walk[cur] = start
+            path.append(cur)
             cur = f[cur]
-        seen.update(cyc)
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
+        if walk[cur] == start:  # this walk closed a cycle of its own
+            cycle = path[path.index(cur) :]
+            least = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[least:] + cycle[:least]))
+    return tuple(sorted(cycles))
+
+
+def periodic_points(tset: PatternSet, n: int, workers: int = 1) -> set[Word]:
+    """All permutations of S_n lying on a cycle of the map."""
+    return {p for cycle in orbit_partition(tset, n, workers) for p in cycle}
 
 
 def trivial_periodic_points_only(

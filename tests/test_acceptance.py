@@ -1,7 +1,7 @@
 """Acceptance gate: one test per headline claim, each at its stated size.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion.  Criteria 3-7, 9 and 12 are thin callers of the verify suite
+criterion.  Criteria 3-7, 9, 10 and 12 are thin callers of the verify suite
 that states the claim, so each claim is coded once; what a suite does not
 assert stays here as a direct line.  Every other expected value is either
 a hand-traced constant, a value verified against an independent oracle
@@ -176,20 +176,16 @@ def test_criterion_09_complement_conjugation():
 
 
 def test_criterion_10_periodic_structure():
-    tset = pattern_set("123", "132")
-    for n in range(3, 9):
-        cycle_len = (n + 2) // 2
-        half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
-        assert dyn.periodic_points(tset, n) == half_dec, n
-        assert len(half_dec) == factorial(cycle_len), n
-        cycles = dyn.orbit_partition(tset, n)
-        assert len(cycles) == factorial(n // 2), n
-        assert all(len(c) == cycle_len for c in cycles), n
-        for p in half_dec:
-            assert dyn.half_decreasing_step(p) == sort(p, tset), (n, p)
-    for p in enumerate_permutations(7):
-        rep = dyn.orbit(p, tset)
-        assert any(dyn.is_half_decreasing(q) for q in rep.tail + rep.cycle), p
+    # the suite covers n = 1..7: periodic = half-decreasing, the cycle
+    # counts, the closed form from n = 3, and absorption of every start
+    assert len(passing_suite("periodic", 7)) == 26
+    tset, n = pattern_set("123", "132"), 8
+    half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
+    assert dyn.periodic_points(tset, n) == half_dec
+    cycles = dyn.orbit_partition(tset, n)
+    assert len(cycles) == factorial(n // 2)
+    assert all(len(c) == (n + 2) // 2 for c in cycles)
+    assert all(dyn.half_decreasing_step(p) == sort(p, tset) for p in half_dec)
     print("PASS criterion 10: periodic = half-decreasing with the stated counts (n=3..8); all of S_7 absorbed")
 
 

@@ -32,8 +32,11 @@ def test_check_details_empty_on_pass():
 
 
 @pytest.mark.parametrize(
-    "module", [permstack.words, permstack.machine, permstack.textio]
+    "module", [permstack.words, permstack.machine, permstack.textio, "README.md"]
 )
 def test_doctests(module):
-    failures, _ = doctest.testmod(module)
+    if isinstance(module, str):  # a text file at the repository root
+        failures, _ = doctest.testfile(f"../{module}")
+    else:
+        failures, _ = doctest.testmod(module)
     assert failures == 0
