@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -250,6 +251,7 @@ def _at_least(least: int):
     return integer
 
 
+@functools.cache  # built once per process; parsing leaves nothing in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permstack",

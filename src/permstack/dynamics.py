@@ -24,6 +24,7 @@ from math import factorial
 
 from .machine import (
     _enter,
+    _Stack,
     legal_movement_sequences,
     reconstruct_input,
     sort,
@@ -56,25 +57,24 @@ LENGTH3_PATTERNS = tuple(itertools.permutations((1, 2, 3)))
 
 
 def _extend_images(
-    patterns: frozenset,
     n: int,
     used: list[bool],
-    stack: list[int],
+    stack: _Stack,
     out: list[int],
     images: list[Word],
 ) -> None:
-    if len(out) + len(stack) == n:
-        images.append(tuple(out) + tuple(reversed(stack)))
+    if len(out) + len(stack.letters) == n:
+        images.append(tuple(out) + tuple(reversed(stack.letters)))
         return
     for x in range(1, n + 1):
         if used[x]:
             continue
         used[x] = True
-        popped = _enter(x, stack, out, patterns)
-        _extend_images(patterns, n, used, stack, out, images)
+        popped = _enter(x, stack, out)
+        _extend_images(n, used, stack, out, images)
         stack.pop()
-        for _ in range(popped):
-            stack.append(out.pop())
+        for _ in range(popped):  # each was on this very stack: no pops
+            _enter(out.pop(), stack, out)
         used[x] = False
 
 
@@ -82,8 +82,10 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     tset, n, first = args
     used = [False] * (n + 1)
     used[first] = True
+    stack = _Stack(tset.patterns)
     images: list[Word] = []
-    _extend_images(tset.patterns, n, used, [first], [], images)
+    _enter(first, stack, [])
+    _extend_images(n, used, stack, [], images)
     return images
 
 

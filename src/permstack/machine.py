@@ -8,12 +8,24 @@ the single forbidden pattern 21 this is the classical stack sort.
 
 A run of length n takes exactly 2n steps, recorded as a movement sequence
 over N (enter) and X (exit); movement sequences are balanced Dyck words.
+
+The push test is a table lookup.  The order pattern of the stack with a
+letter x on top depends only on the stack's own pattern and on x's slot
+among the stack letters, so the stack patterns a pattern set allows form a
+generating tree: a state (one stack pattern) maps each slot to its child
+state, or to False when the push would form a forbidden pattern.  Every
+stack frame carries its state, so a push test costs two bisections of the
+sorted stack letters and one dict lookup.  Only a slot never tried from
+that state ranks the stack with pattern_of and tests containment.  The
+tables grow lazily, one per pattern set, shared by all runs in a process.
+Once they hold more than STATE_BUDGET states in all, the next run starts
+fresh tables; a run under way keeps the table it started with.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .words import (
@@ -29,25 +41,67 @@ ENTER = "N"
 EXIT = "X"
 
 
-@lru_cache(maxsize=1 << 18)
-def _push_keeps_avoiding(stack_pattern: Word, patterns: frozenset) -> bool:
-    # stack_pattern is the order pattern of the stack read top to bottom with
-    # the candidate letter on top.  Keyed on the pattern, not the raw word,
-    # so sweeps over S_n share entries across letter choices.
-    return not any(contains(stack_pattern, p) for p in patterns)
+#: Most stack-pattern states the push tables may hold, summed over all
+#: pattern sets; once past it, the next run starts fresh tables.
+STATE_BUDGET = 1 << 18
+
+_tables: dict[frozenset, dict] = {}  # pattern set -> state of the empty stack
+_states_held = 0
 
 
-def _can_push(x: int, stack: list[int], patterns: frozenset) -> bool:
-    return _push_keeps_avoiding(pattern_of((x, *reversed(stack))), patterns)
+class _Stack:
+    """The machine's stack: its letters bottom to top, the pattern state of
+    each frame, and the same letters sorted, which place the next letter."""
+
+    __slots__ = ("patterns", "letters", "states", "ranked")
+
+    def __init__(self, patterns: frozenset):
+        global _states_held
+        if _states_held > STATE_BUDGET:
+            _tables.clear()
+            _states_held = 0
+        self.patterns = patterns
+        self.letters: list[int] = []
+        self.states = [_tables.setdefault(patterns, {})]
+        self.ranked: list[int] = []
+
+    def pop(self) -> int:
+        x = self.letters.pop()
+        self.states.pop()
+        self.ranked.remove(x)
+        return x
+
+    def new_state(self, x: int):
+        """The state of this stack with x pushed, seen for the first time:
+        False when that stack, read top to bottom, contains a forbidden
+        pattern, else a fresh state."""
+        global _states_held
+        top_down = pattern_of((x, *reversed(self.letters)))
+        if any(contains(top_down, p) for p in self.patterns):
+            return False
+        _states_held += 1
+        return {}
 
 
-def _enter(x: int, stack: list[int], out: list[int], patterns: frozenset) -> int:
+def _enter(x: int, stack: _Stack, out: list[int]) -> int:
     """The one step rule: pop until x may be pushed, push it, return the pops."""
+    states, ranked = stack.states, stack.ranked
     popped = 0
-    while stack and not _can_push(x, stack, patterns):
+    while True:
+        # x's slot among the stack letters: those below x plus those not
+        # above x.  It grows strictly as x moves up past or onto a letter,
+        # so with the state it fixes the new pattern, repeats included.
+        slot = bisect_left(ranked, x) + bisect_right(ranked, x)
+        state = states[-1].get(slot)
+        if state is None:
+            state = states[-1][slot] = stack.new_state(x)
+        if state is not False:
+            break
         out.append(stack.pop())
         popped += 1
-    stack.append(x)
+    stack.letters.append(x)
+    states.append(state)
+    insort(ranked, x)
     return popped
 
 
@@ -60,12 +114,11 @@ def sort(w: Word, tset: PatternSet) -> Word:
     >>> sort((5, 2, 4, 1, 3), pattern_set("123", "132"))
     (4, 2, 3, 1, 5)
     """
-    patterns = tset.patterns
     out: list[int] = []
-    stack: list[int] = []
+    stack = _Stack(tset.patterns)
     for x in w:
-        _enter(x, stack, out, patterns)
-    out.extend(reversed(stack))
+        _enter(x, stack, out)
+    out.extend(reversed(stack.letters))
     return tuple(out)
 
 
@@ -91,12 +144,11 @@ def sort_with_trace(
     w: Word, tset: PatternSet
 ) -> tuple[Word, str, tuple[TraceEvent, ...]]:
     """Like sort, but also return the N/X step string and the full event log."""
-    patterns = tset.patterns
     out: list[int] = []
-    stack: list[int] = []
-    steps = "".join(EXIT * _enter(x, stack, out, patterns) + ENTER for x in w)
-    steps += EXIT * len(stack)
-    out.extend(reversed(stack))
+    stack = _Stack(tset.patterns)
+    steps = "".join(EXIT * _enter(x, stack, out) + ENTER for x in w)
+    steps += EXIT * len(stack.letters)
+    out.extend(reversed(stack.letters))
     return tuple(out), steps, _replay(w, steps)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from permstack import cli
 from permstack.cli import main
 
 
@@ -243,3 +244,31 @@ def test_parallel_output_is_byte_identical(capsys):
     _, out2, _ = run(capsys, "periodic", "--patterns", "123,132", "--n", "6",
                      "--format", "json", "--parallel", "3")
     assert out1 == out2
+
+
+#: Valid and invalid command lines, ending with exit codes 0, 2, 3 and 4.
+MIXED_CALLS = [
+    ("sort", "--patterns", "123,132", "--perm", "52413", "--trace"),
+    ("image", "--patterns", "21", "--n", "-1"),
+    ("table", "--max-n", "3", "--format", "csv"),
+    ("sort", "--patterns", "1", "--perm", "12"),
+    ("verify", "--suite", "bound", "--max-n", "3"),
+    ("sort", "--patterns", "21", "--perm", "1", "--format", "csv"),
+    ("periodic", "--patterns", "123,132", "--n", "4", "--format", "json", "--parallel", "2"),
+    ("image", "--patterns", "123", "--n", "13"),
+    ("orbit", "--patterns", "123,132", "--perm", "2x1"),
+    ("preimages", "--patterns", "123", "--perm", "4231", "--format", "json"),
+]
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    def on_fresh_parser(argv):
+        cli._build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    expected = {argv: on_fresh_parser(argv) for argv in MIXED_CALLS}
+    assert {code for code, _, _ in expected.values()} == {0, 2, 3, 4}
+    cli._build_parser.cache_clear()
+    for argv in MIXED_CALLS + MIXED_CALLS[::-1]:  # one parser for all twenty
+        assert run(capsys, *argv) == expected[argv]
+    assert cli._build_parser.cache_info().misses == 1

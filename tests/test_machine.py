@@ -6,7 +6,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from permstack import machine
+from permstack.dynamics import sort_images
 from permstack.machine import (
+    _enter,
+    _Stack,
     clumping,
     is_legal_movement_sequence,
     is_movement_sequence,
@@ -20,8 +24,10 @@ from permstack.machine import (
 from permstack.words import (
     avoids_all,
     catalan,
+    contains,
     enumerate_permutations,
     occurrences,
+    pattern_of,
     pattern_set,
     reverse,
 )
@@ -177,6 +183,79 @@ def test_trace_matches_naive_machine_step_by_step(letters, tset):
     assert [(ev.step, ev.letter, ev.stack, ev.output) for ev in events] == expected
     assert steps == "".join(ev[0] for ev in expected)
     assert out == (expected[-1][3] if expected else ())
+
+
+def oracle_admits(x, letters, tset):
+    # the push test before push tables: rank the whole stack, x on top
+    return not any(contains(pattern_of((x, *reversed(letters))), p) for p in tset)
+
+
+@given(
+    st.lists(st.one_of(st.integers(1, 6), st.none()), max_size=30),
+    st.sampled_from(
+        [pattern_set("21", "1234"), pattern_set("123", "2143"), pattern_set("3241"),
+         pattern_set("2413", "3142")]
+    ),
+)
+def test_push_table_matches_pattern_of_oracle(moves, tset):
+    # moves: a letter enters (popping as the machine does), None pops the top
+    stack = _Stack(tset.patterns)
+    for move in moves:
+        letters = list(stack.letters)
+        if move is None:
+            if letters:
+                stack.pop()
+            continue
+        for x in range(1, 8):  # every candidate, letters on the stack included
+            out = []
+            popped = _enter(x, stack, out)
+            assert (popped == 0) == (not letters or oracle_admits(x, letters, tset))
+            stack.pop()
+            for _ in range(popped):
+                _enter(out.pop(), stack, out)
+            assert stack.letters == letters
+        expected, expected_out = list(letters), []
+        while expected and not oracle_admits(move, expected, tset):
+            expected_out.append(expected.pop())
+        out = []
+        _enter(move, stack, out)
+        assert out == expected_out
+        assert stack.letters == expected + [move]
+        assert stack.ranked == sorted(stack.letters)
+
+
+def test_state_budget_reset_keeps_outputs(monkeypatch):
+    sets = [pattern_set("2134"), T_MAIN]
+    words = [(3, 1, 3, 2, 2, 5, 1, 4), (2, 2, 1, 1, 3, 3), (4, 1, 4, 2, 4, 3, 1, 5, 2)]
+
+    def outputs():
+        images = [sort_images(tset, n) for tset in sets for n in range(8)]
+        return images, [sort_with_trace(w, tset) for tset in sets for w in words]
+
+    expected = outputs()
+    resets = []
+
+    class Tables(dict):
+        def clear(self):
+            resets.append(len(self))
+            super().clear()
+
+    monkeypatch.setattr(machine, "STATE_BUDGET", 8)
+    monkeypatch.setattr(machine, "_tables", Tables())
+    monkeypatch.setattr(machine, "_states_held", 0)
+    assert outputs() == expected
+    assert resets
+    # a run under way keeps its table when another run starts fresh ones
+    w = words[2]
+    stack, out = _Stack(T_MAIN.patterns), []
+    for x in w[:4]:
+        _enter(x, stack, out)
+    before = len(resets)
+    sort_images(T_MAIN, 5)
+    assert len(resets) > before
+    for x in w[4:]:
+        _enter(x, stack, out)
+    assert tuple(out) + tuple(reversed(stack.letters)) == sort(w, T_MAIN)
 
 
 @pytest.mark.parametrize(
