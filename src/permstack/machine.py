@@ -9,22 +9,26 @@ the single forbidden pattern 21 this is the classical stack sort.
 A run of length n takes exactly 2n steps, recorded as a movement sequence
 over N (enter) and X (exit); movement sequences are balanced Dyck words.
 
-The push test is a table lookup.  The order pattern of the stack with a
-letter x on top depends only on the stack's own pattern and on x's slot
-among the stack letters, so the stack patterns a pattern set allows form a
-generating tree: a state (one stack pattern) maps each slot to its child
-state, or to False when the push would form a forbidden pattern.  Every
-stack frame carries its state, so a push test costs two bisections of the
-sorted stack letters and one dict lookup.  Only a slot never tried from
-that state ranks the stack with pattern_of and tests containment.  The
-tables grow lazily, one per pattern set, shared by all runs in a process.
-Once they hold more than STATE_BUDGET states in all, the next run starts
-fresh tables; a run under way keeps the table it started with.
+The push test, _can_push, is a table lookup.  The order pattern of the
+stack with a letter x on top depends only on the stack's own pattern and
+on x's slot among the stack letters, so the stack patterns a pattern set
+allows form a generating tree: a state (one stack pattern) maps each slot
+to its child state, or to False when the push would form a forbidden
+pattern.  Every stack frame carries its state, so a push test costs two
+bisections of the sorted stack letters and one dict lookup.  Only a slot
+never tried from that state asks the oracle, _push_keeps_avoiding, which
+ranks the stack with pattern_of and tests containment.  The tables
+memoise that oracle and, like an lru_cache, report their hits and misses
+through _push_keeps_avoiding.cache_info().  They grow lazily, one per
+pattern set, shared by all runs in a process.  Once they hold more than
+STATE_BUDGET states in all, the next run starts fresh tables; a run under
+way keeps the table it started with and holds whatever states it reaches.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -47,6 +51,10 @@ STATE_BUDGET = 1 << 18
 
 _tables: dict[frozenset, dict] = {}  # pattern set -> state of the empty stack
 _states_held = 0
+_lookups = 0  # push tests, ever
+_misses = 0   # push tests the tables could not answer, ever
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Stack:
@@ -71,37 +79,54 @@ class _Stack:
         self.ranked.remove(x)
         return x
 
-    def new_state(self, x: int):
-        """The state of this stack with x pushed, seen for the first time:
-        False when that stack, read top to bottom, contains a forbidden
-        pattern, else a fresh state."""
-        global _states_held
-        top_down = pattern_of((x, *reversed(self.letters)))
-        if any(contains(top_down, p) for p in self.patterns):
-            return False
-        _states_held += 1
-        return {}
+
+def _push_keeps_avoiding(x: int, stack: _Stack) -> bool:
+    """The oracle: does the stack, read top to bottom with x on top, still
+    avoid every forbidden pattern?"""
+    top_down = pattern_of((x, *reversed(stack.letters)))
+    return not any(contains(top_down, p) for p in stack.patterns)
+
+
+def _table_info() -> CacheInfo:
+    return CacheInfo(_lookups - _misses, _misses, STATE_BUDGET, _states_held)
+
+
+# The tables are this oracle's cache; report them as an lru_cache would.
+_push_keeps_avoiding.cache_info = _table_info
+
+
+def _can_push(x: int, stack: _Stack):
+    """The push test: the state of the stack with x pushed, or False when
+    x may not be pushed (a fresh state is an empty dict, so test `is False`)."""
+    global _lookups, _misses, _states_held
+    _lookups += 1
+    # x's slot among the stack letters: those below x plus those not above
+    # x.  It grows strictly as x moves up past or onto a letter, so with
+    # the state it fixes the new pattern, repeats included.
+    ranked = stack.ranked
+    slot = bisect_left(ranked, x) + bisect_right(ranked, x)
+    top = stack.states[-1]
+    state = top.get(slot)
+    if state is None:
+        _misses += 1
+        if _push_keeps_avoiding(x, stack):
+            state = {}
+            _states_held += 1
+        else:
+            state = False
+        top[slot] = state
+    return state
 
 
 def _enter(x: int, stack: _Stack, out: list[int]) -> int:
     """The one step rule: pop until x may be pushed, push it, return the pops."""
-    states, ranked = stack.states, stack.ranked
     popped = 0
-    while True:
-        # x's slot among the stack letters: those below x plus those not
-        # above x.  It grows strictly as x moves up past or onto a letter,
-        # so with the state it fixes the new pattern, repeats included.
-        slot = bisect_left(ranked, x) + bisect_right(ranked, x)
-        state = states[-1].get(slot)
-        if state is None:
-            state = states[-1][slot] = stack.new_state(x)
-        if state is not False:
-            break
+    while (state := _can_push(x, stack)) is False:
         out.append(stack.pop())
         popped += 1
     stack.letters.append(x)
-    states.append(state)
-    insort(ranked, x)
+    stack.states.append(state)
+    insort(stack.ranked, x)
     return popped
 
 

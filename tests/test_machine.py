@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from permstack import machine
 from permstack.dynamics import sort_images
 from permstack.machine import (
+    _can_push,
     _enter,
     _Stack,
     clumping,
@@ -207,13 +208,8 @@ def test_push_table_matches_pattern_of_oracle(moves, tset):
                 stack.pop()
             continue
         for x in range(1, 8):  # every candidate, letters on the stack included
-            out = []
-            popped = _enter(x, stack, out)
-            assert (popped == 0) == (not letters or oracle_admits(x, letters, tset))
-            stack.pop()
-            for _ in range(popped):
-                _enter(out.pop(), stack, out)
-            assert stack.letters == letters
+            assert (_can_push(x, stack) is not False) == oracle_admits(x, letters, tset)
+        assert stack.letters == letters
         expected, expected_out = list(letters), []
         while expected and not oracle_admits(move, expected, tset):
             expected_out.append(expected.pop())
@@ -222,6 +218,26 @@ def test_push_table_matches_pattern_of_oracle(moves, tset):
         assert out == expected_out
         assert stack.letters == expected + [move]
         assert stack.ranked == sorted(stack.letters)
+
+
+def test_push_table_reports_hits_and_misses(monkeypatch):
+    w = (4, 1, 4, 2, 4, 3, 1, 5, 2, 6)
+    steps = sort_with_trace(w, T_MAIN)[1]
+    # one push test per letter, one more per pop before the stack drains
+    tests = len(w) + steps[: steps.rindex("N")].count("X")
+    monkeypatch.setattr(machine, "_tables", {})
+    monkeypatch.setattr(machine, "_states_held", 0)
+    info = machine._push_keeps_avoiding.cache_info
+    start = info()
+    sort(w, T_MAIN)
+    first = info()
+    sort(w, T_MAIN)  # the same push tests again: every one a hit
+    second = info()
+    assert first.hits + first.misses - start.hits - start.misses == tests
+    assert second.misses == first.misses
+    assert second.hits - first.hits == tests
+    assert 0 < second.currsize == first.currsize <= first.misses - start.misses
+    assert second.maxsize == machine.STATE_BUDGET
 
 
 def test_state_budget_reset_keeps_outputs(monkeypatch):
