@@ -10,9 +10,8 @@ Exit codes: 0 success (verify: all checks pass), 1 failed verification,
 pattern set (empty, length-1 pattern, non-permutation, or one unusable
 for the requested operation), 4 size cap exceeded.
 
-The hard sweep cap is 12; the PERMSTACK_MAX_N environment variable can
-lower it (values above 12 are clamped).  All output is deterministic and
-independent of --parallel, which is bounded by the sweep's first-letter
+Sweeps refuse n above words.MAX_ENUM_N (12).  All output is deterministic
+and independent of --parallel, which is bounded by the sweep's first-letter
 jobs and the CPU count.
 """
 
@@ -23,7 +22,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from . import dynamics as dyn
@@ -60,14 +58,9 @@ def _word(args) -> Word:
 
 
 def _check_size(n: int) -> None:
-    """Refuse n above the sweep cap, which PERMSTACK_MAX_N can lower."""
-    raw = os.environ.get("PERMSTACK_MAX_N")
-    try:
-        cap = MAX_ENUM_N if raw is None else min(MAX_ENUM_N, int(raw))
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"PERMSTACK_MAX_N={raw!r} is not an integer")
-    if n > cap:
-        raise CliError(EXIT_CAP, f"n={n} exceeds the cap of {cap}")
+    """Refuse n above the sweep cap."""
+    if n > MAX_ENUM_N:
+        raise CliError(EXIT_CAP, f"n={n} exceeds the cap of {MAX_ENUM_N}")
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -179,16 +179,6 @@ def machine_images(first: Word, second: Word, n: int, workers: int = 1) -> list[
     return _fan_out(_machine_subtree, pattern_set(first, second), n, workers)
 
 
-def sort_set(first: Word, second: Word, n: int, workers: int = 1) -> set[Word]:
-    """The permutations the two-stage machine sends to the identity."""
-    target = identity(n)
-    return {
-        p
-        for p, img in zip(enumerate_permutations(n), machine_images(first, second, n, workers))
-        if img == target
-    }
-
-
 def sort_count(first: Word, second: Word, n: int, workers: int = 1) -> int:
     """How many permutations of S_n the two-stage machine sorts."""
     target = identity(n)
@@ -366,8 +356,11 @@ def extremal_literal(pattern: Word) -> Word:
     construction; defined when the pattern's first two letters are
     consecutive integers.
 
-    Letters of the pattern past the second map to themselves when below the
-    first letter and to complement-marked values when above it.
+    A literal word is a tuple of nonzero ints naming exact letters of a
+    length-n permutation: v > 0 names the letter v itself, v < 0 the letter
+    whose complement value is -v (that is, the letter n + 1 + v).  Letters
+    of the pattern past the second map to themselves when below the first
+    letter and to complement-marked values when above it.
     """
     if not is_permutation(pattern) or len(pattern) < 3:
         raise ValueError("need a permutation pattern of length at least 3")

@@ -17,7 +17,8 @@ to its child state, or to False when the push would form a forbidden
 pattern.  Every stack frame carries its state, so a push test costs two
 bisections of the sorted stack letters and one dict lookup.  Only a slot
 never tried from that state asks the oracle, _push_keeps_avoiding, which
-ranks the stack with pattern_of and tests containment.  The tables
+tests the stack letters for containment directly: containment compares
+letters only by < and >, so they need no ranking first.  The tables
 memoise that oracle and, like an lru_cache, report their hits and misses
 through _push_keeps_avoiding.cache_info().  They grow lazily, one per
 pattern set, shared by all runs in a process.  Once they hold more than
@@ -37,7 +38,6 @@ from .words import (
     Word,
     contains,
     occurrences,
-    pattern_of,
     reverse,
 )
 
@@ -83,7 +83,7 @@ class _Stack:
 def _push_keeps_avoiding(x: int, stack: _Stack) -> bool:
     """The oracle: does the stack, read top to bottom with x on top, still
     avoid every forbidden pattern?"""
-    top_down = pattern_of((x, *reversed(stack.letters)))
+    top_down = (x, *reversed(stack.letters))
     return not any(contains(top_down, p) for p in stack.patterns)
 
 

@@ -1,19 +1,18 @@
-"""Text formats for words, pattern sets, and literal words.
+"""Text formats for words and pattern sets.
 
 Word syntax: comma-separated decimal letters ("5,2,4,1,3"), compact digits
 ("52413", letters 1..9 only), or bracketed ("[10,2,1]"; "[]" is the empty
 word).  Pattern-set syntax: comma-separated compact patterns ("123,132");
 a pattern with letters past 9 needs the bracket form ("[10,2,...]").
-Literal letters are "m" or "mc", comma separated ("1,1c,2").
 """
 
 from __future__ import annotations
 
-from .words import LiteralWord, PatternSet, Word
+from .words import PatternSet, Word
 
 
 class ParseError(ValueError):
-    """Malformed word, pattern, or literal-word text."""
+    """Malformed word or pattern text."""
 
 
 def _parse_letter(item: str) -> int:
@@ -130,23 +129,3 @@ def parse_patterns(text: str) -> PatternSet:
 
 def format_patterns(tset: PatternSet) -> str:
     return ",".join(format_word(p) for p in tset)
-
-
-def parse_literal_word(text: str) -> LiteralWord:
-    """Parse literal letters: "1,1c,2" -> (1, -1, 2)."""
-    t = text.strip()
-    if not t:
-        return ()
-    out = []
-    for item in t.split(","):
-        item = item.strip()
-        complemented = item.endswith("c")
-        if complemented:
-            item = item[:-1]
-        out.append(-_parse_letter(item) if complemented else _parse_letter(item))
-    return tuple(out)
-
-
-def format_literal_word(lw: LiteralWord) -> str:
-    """Render literal letters: (1, -1, 2) -> "1,1c,2"."""
-    return ",".join(str(v) if v > 0 else f"{-v}c" for v in lw)

@@ -7,9 +7,6 @@ Conventions shared by the whole package:
   in one-line notation: (5, 2, 4, 1, 3) is 52413.
 - A *pattern* is a permutation of length at least 2.  PatternSet collects
   the configurations a sorting stack must avoid (see machine).
-- A *literal word* is a tuple of nonzero ints encoding exact-value pattern
-  letters: v > 0 demands the letter v itself, v < 0 demands the letter
-  whose complement value is -v (that is, the letter n + 1 + v).
 
 Everything here is a pure function on immutable tuples, so it is safe to
 call concurrently or from worker processes.
@@ -23,19 +20,14 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
-LiteralWord = tuple[int, ...]
 
-#: Exhaustive S_n sweeps refuse to go past this length (12! is the most a
-#: desk machine should reasonably chew through; counts stay 64-bit safe).
+#: Exhaustive S_n sweeps refuse to go past this length.  It is a refusal
+#: bound, not a promise that a sweep this long finishes: sort_map holds
+#: about 320 B per permutation, some 13 GB at n = 11.
 MAX_ENUM_N = 12
 
 #: catalan() stays within 64-bit range up to this index.
 MAX_CATALAN_N = 30
-
-
-def is_word(w: Iterable[int]) -> bool:
-    """True when every letter is a positive integer."""
-    return all(isinstance(x, int) and x >= 1 for x in w)
 
 
 def is_permutation(w: Word) -> bool:
@@ -293,32 +285,3 @@ def enumerate_avoiders(n: int, patterns: Iterable[Word]) -> Iterator[Word]:
     order.  An empty collection places no constraint and yields all of S_n."""
     pats = [_as_pattern(p) for p in patterns]
     return (p for p in enumerate_permutations(n) if avoids_all(p, pats))
-
-
-def literally_contains(p: Word, letters: LiteralWord) -> bool:
-    """Exact-value pattern matching with complement marks.
-
-    letters is a tuple of nonzero ints: a positive v demands the letter v at
-    that slot, a negative -v demands the letter whose complement value is v
-    (the letter n + 1 - v).  True when the demanded letters appear in p left
-    to right.  The empty literal word is contained in everything.
-
-    >>> literally_contains((1, 4, 2, 3), (1, -1, 2))
-    True
-    >>> literally_contains((1, 2, 4, 3), (1, -1, 2))
-    False
-    """
-    if not is_permutation(p):
-        raise ValueError("literal containment is defined on permutations")
-    n = len(p)
-    pos = {x: i for i, x in enumerate(p)}
-    last = -1
-    for v in letters:
-        if v == 0:
-            raise ValueError("literal letters must be nonzero")
-        target = v if v > 0 else n + 1 + v
-        i = pos.get(target)
-        if i is None or i <= last:
-            return False
-        last = i
-    return True

@@ -1,0 +1,49 @@
+"""Brute-force oracles the tests compare the library with.
+
+Each is a straight transcription of a definition, written once and sharing
+no code with permstack.
+"""
+
+import itertools
+
+
+def isomorphic(u, v):
+    # the definition, verbatim: both relation families must transfer
+    if len(u) != len(v):
+        return False
+    idx = range(len(u))
+    return all(
+        (u[i] < u[j]) == (v[i] < v[j]) and (u[i] > u[j]) == (v[i] > v[j])
+        for i in idx
+        for j in idx
+    )
+
+
+def contains(w, p):
+    # exhaustive index-subset scan
+    return any(
+        isomorphic(tuple(w[i] for i in idx), p)
+        for idx in itertools.combinations(range(len(w)), len(p))
+    )
+
+
+def naive_trace(w, patterns):
+    # straight transcription of the push rule: keep the stack (read top to
+    # bottom, candidate on top) free of every pattern, else pop; logs
+    # (step, letter, stack top to bottom, output) after every move
+    out, stack, events = [], [], []  # stack[0] is the top
+    for x in w:
+        while stack and any(contains([x] + stack, p) for p in patterns):
+            out.append(stack.pop(0))
+            events.append(("X", out[-1], tuple(stack), tuple(out)))
+        stack.insert(0, x)
+        events.append(("N", x, tuple(stack), tuple(out)))
+    while stack:
+        out.append(stack.pop(0))
+        events.append(("X", out[-1], tuple(stack), tuple(out)))
+    return events
+
+
+def naive_sort(w, patterns):
+    events = naive_trace(w, patterns)
+    return events[-1][3] if events else ()

@@ -1,6 +1,8 @@
 """CLI behaviour: output formats, exit codes, caps, and determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -102,15 +104,6 @@ def test_parallel_below_one_rejected(capsys, workers):
     assert code == 2
     assert out == ""
     assert "--parallel" in err
-
-
-def test_env_var_lowers_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PERMSTACK_MAX_N", "5")
-    code, _, _ = run(capsys, "image", "--patterns", "123", "--n", "6")
-    assert code == 4
-    monkeypatch.setenv("PERMSTACK_MAX_N", "99")  # clamped back to 12
-    code, _, _ = run(capsys, "image", "--patterns", "123", "--n", "6")
-    assert code == 0
 
 
 def test_inverse_round_trip(capsys):
@@ -272,3 +265,29 @@ def test_main_keeps_no_state_between_calls(capsys):
     for argv in MIXED_CALLS + MIXED_CALLS[::-1]:  # one parser for all twenty
         assert run(capsys, *argv) == expected[argv]
     assert cli._build_parser.cache_info().misses == 1
+
+
+def readme_cli_examples():
+    """(argv, comment) for each line of README's sh block under "## CLI"."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(command)
+        assert prog == "permstack", line
+        yield argv, comment.strip()
+
+
+def test_readme_cli_examples_run(capsys):
+    ran = 0
+    for argv, comment in readme_cli_examples():
+        if argv[0] == "verify":
+            # the README's verify line sweeps every suite at --max-n 7 (about
+            # 34 s on 2 vCPUs); test_acceptance runs those suites already
+            continue
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if comment and " " not in comment:  # a bare literal: the first line printed
+            assert out.splitlines()[0] == comment, argv
+        ran += 1
+    assert ran == 10

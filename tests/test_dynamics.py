@@ -134,6 +134,17 @@ def test_machine_identity_iff_stage_avoids_231():
         assert hit == avoids(stage, (2, 3, 1))
 
 
+def test_machine_images_match_machine_sort():
+    # the prefix-tree sweep against its definition, pointwise, for all 15 pairs
+    for first, second in itertools.combinations(S3, 2):
+        for n in range(0, 7):
+            assert dyn.machine_images(first, second, n) == [
+                dyn.machine_sort(p, first, second) for p in enumerate_permutations(n)
+            ], (first, second, n)
+    pair = ((1, 2, 3), (2, 3, 1))
+    assert dyn.machine_images(*pair, 7, workers=2) == dyn.machine_images(*pair, 7)
+
+
 @pytest.mark.parametrize(
     "pair,expected",
     [
@@ -146,11 +157,6 @@ def test_machine_identity_iff_stage_avoids_231():
 def test_sort_count_rows(pair, expected):
     got = tuple(dyn.sort_count(pair[0], pair[1], n) for n in range(1, 5))
     assert got == expected
-
-
-def test_sort_set_members():
-    assert (5, 2, 4, 1, 3) in dyn.sort_set((1, 3, 2), (3, 1, 2), 5)
-    assert identity(4) in dyn.sort_set((1, 3, 2), (3, 1, 2), 4)
 
 
 @pytest.mark.parametrize("sigma", [(1, 2, 3), (1, 3, 2), (2, 3, 1)])

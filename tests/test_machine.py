@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import naive_sort, naive_trace
 from permstack import machine
 from permstack.dynamics import sort_images
 from permstack.machine import (
@@ -22,6 +23,7 @@ from permstack.machine import (
     sort_recursive,
     sort_with_trace,
 )
+from permstack.verify import RECURSION_SETS
 from permstack.words import (
     avoids_all,
     catalan,
@@ -35,15 +37,6 @@ from permstack.words import (
 
 T_MAIN = pattern_set("123", "132")
 CLASSICAL = pattern_set("21")
-
-RECURSION_SETS = [
-    pattern_set("21"),
-    pattern_set("123"),
-    pattern_set("132"),
-    pattern_set("123", "132"),
-    pattern_set("213", "231"),
-    pattern_set("231", "321"),
-]
 
 
 def textbook_stack_sort(w):
@@ -132,43 +125,6 @@ def test_classical_specialization_matches_textbook():
     for n in range(0, 8):
         for p in enumerate_permutations(n):
             assert sort(p, CLASSICAL) == textbook_stack_sort(p)
-
-
-def naive_contains(word, p):
-    # every index combination, every pair of positions compared
-    def iso(u, v):
-        return len(u) == len(v) and all(
-            (u[i] < u[j]) == (v[i] < v[j]) and (u[i] > u[j]) == (v[i] > v[j])
-            for i in range(len(u))
-            for j in range(len(u))
-        )
-
-    return any(
-        iso([word[i] for i in c], p)
-        for c in itertools.combinations(range(len(word)), len(p))
-    )
-
-
-def naive_trace(w, patterns):
-    # straight transcription of the push rule: keep the stack (read top to
-    # bottom, candidate on top) free of every pattern, else pop; logs
-    # (step, letter, stack top to bottom, output) after every move
-    out, stack, events = [], [], []  # stack[0] is the top
-    for x in w:
-        while stack and any(naive_contains([x] + stack, p) for p in patterns):
-            out.append(stack.pop(0))
-            events.append(("X", out[-1], tuple(stack), tuple(out)))
-        stack.insert(0, x)
-        events.append(("N", x, tuple(stack), tuple(out)))
-    while stack:
-        out.append(stack.pop(0))
-        events.append(("X", out[-1], tuple(stack), tuple(out)))
-    return events
-
-
-def naive_definition_sort(w, patterns):
-    events = naive_trace(w, patterns)
-    return events[-1][3] if events else ()
 
 
 @given(
@@ -289,7 +245,7 @@ def test_sort_matches_definition_transcription(tset):
     pats = sorted(tset)
     for n in range(0, 6):
         for p in enumerate_permutations(n):
-            assert sort(p, tset) == naive_definition_sort(p, pats)
+            assert sort(p, tset) == naive_sort(p, pats)
 
 
 # --- clumping ---------------------------------------------------------------

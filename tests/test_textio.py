@@ -4,10 +4,8 @@ import pytest
 
 from permstack.textio import (
     ParseError,
-    format_literal_word,
     format_patterns,
     format_word,
-    parse_literal_word,
     parse_patterns,
     parse_word,
 )
@@ -61,12 +59,3 @@ def test_parse_patterns_errors():
 def test_format_patterns_round_trip():
     t = parse_patterns("213,231")
     assert sorted(parse_patterns(format_patterns(t))) == sorted(t)
-
-
-def test_literal_words():
-    assert parse_literal_word("1,1c,2") == (1, -1, 2)
-    assert parse_literal_word("") == ()
-    assert format_literal_word((1, -1, 2)) == "1,1c,2"
-    assert parse_literal_word(format_literal_word((-2, 3))) == (-2, 3)
-    with pytest.raises(ParseError):
-        parse_literal_word("1,xc")

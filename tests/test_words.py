@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from permstack.words import (
     PatternSet,
     avoids_all,
@@ -15,8 +16,6 @@ from permstack.words import (
     enumerate_permutations,
     identity,
     is_permutation,
-    is_word,
-    literally_contains,
     occurrences,
     order_isomorphic,
     pattern_of,
@@ -31,26 +30,6 @@ S3 = list(itertools.permutations((1, 2, 3)))
 S2 = list(itertools.permutations((1, 2)))
 
 
-def oracle_isomorphic(u, v):
-    # the definition, verbatim: both relation families must transfer
-    if len(u) != len(v):
-        return False
-    idx = range(len(u))
-    return all(
-        (u[i] < u[j]) == (v[i] < v[j]) and (u[i] > u[j]) == (v[i] > v[j])
-        for i in idx
-        for j in idx
-    )
-
-
-def oracle_contains(w, p):
-    # exhaustive index-subset scan
-    return any(
-        oracle_isomorphic(tuple(w[i] for i in idx), p)
-        for idx in itertools.combinations(range(len(w)), len(p))
-    )
-
-
 words4 = [w for w in itertools.product((1, 2, 3, 4), repeat=4)]
 
 
@@ -63,7 +42,7 @@ def test_order_isomorphic_examples():
 def test_order_isomorphic_matches_pairwise_oracle():
     for u in words4:
         for v in words4:
-            assert order_isomorphic(u, v) == oracle_isomorphic(u, v)
+            assert order_isomorphic(u, v) == oracles.isomorphic(u, v)
 
 
 def test_order_isomorphic_is_an_equivalence():
@@ -92,13 +71,13 @@ def test_contains_matches_exhaustive_scan(n):
     patterns = S2 + S3
     for w in enumerate_permutations(n):
         for p in patterns:
-            assert contains(w, p) == oracle_contains(w, p)
+            assert contains(w, p) == oracles.contains(w, p)
 
 
 def test_contains_with_repeats_matches_scan():
     for w in words4:
         for p in S2 + S3:
-            assert contains(w, p) == oracle_contains(w, p)
+            assert contains(w, p) == oracles.contains(w, p)
 
 
 def test_occurrences_are_real_and_complete():
@@ -108,7 +87,7 @@ def test_occurrences_are_real_and_complete():
         expected = {
             idx
             for idx in itertools.combinations(range(len(w)), 3)
-            if oracle_isomorphic(tuple(w[i] for i in idx), p)
+            if oracles.isomorphic(tuple(w[i] for i in idx), p)
         }
         assert found == expected
 
@@ -153,7 +132,6 @@ def test_involutions_on_sn(n):
 def test_reverse_involution_on_words(letters):
     w = tuple(letters)
     assert reverse(reverse(w)) == w
-    assert is_word(w)
 
 
 def test_pattern_set_validation():
@@ -218,16 +196,6 @@ def test_enumerate_avoiders():
 def test_avoider_counts_are_catalan(sigma):
     for n in range(0, 9):
         assert sum(1 for _ in enumerate_avoiders(n, [sigma])) == catalan(n)
-
-
-def test_literally_contains():
-    assert literally_contains((1, 4, 2, 3), (1, -1, 2))
-    assert not literally_contains((1, 2, 4, 3), (1, -1, 2))
-    assert literally_contains((3, 1, 2), ())
-    assert not literally_contains((3, 1, 2), (2, 1, 3))  # 2 after 1? positions 2,1
-    assert literally_contains((3, 1, 2), (1, 2))
-    with pytest.raises(ValueError):
-        literally_contains((1, 1), (1,))
 
 
 def test_identity_helpers():
