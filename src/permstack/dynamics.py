@@ -72,9 +72,7 @@ def _extend_images(
         used[x] = True
         popped = _enter(x, stack, out)
         _extend_images(n, used, stack, out, images)
-        stack.pop()
-        for _ in range(popped):  # each was on this very stack: no pops
-            _enter(out.pop(), stack, out)
+        stack.undo(popped, out)
         used[x] = False
 
 
@@ -284,17 +282,77 @@ def build_sort_table(max_n: int, workers: int = 1) -> SortTable:
 def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     """All permutations the machine sends to gamma.
 
-    Rebuilds one candidate from each shaped movement sequence and keeps
-    those that really sort to gamma (distinct preimages always follow
-    distinct sequences, so nothing is missed).  The tests compare it with
-    filtering all of S_n, exhaustively at small n.
+    A depth-first walk over input prefixes that runs the machine itself:
+    one _enter per letter, and _Stack.undo to back out.  It follows only
+    prefixes gamma can still come out of.  Every pop must be gamma's next
+    letter, and the stack, read top to bottom, must keep gamma's order,
+    since it empties in that order; so while the top is not gamma's next
+    letter, only letters gamma puts before the top may enter.  The first
+    k-2 letters never leave the stack bottom, so they are gamma's last k-2
+    reversed.  Every complete prefix is a preimage.
+
+    The walk costs what the prefixes it follows cost, so it gains most on
+    targets with few preimages, as most targets are.  Near the
+    catalan(n - k + 2) bound it follows about as many prefixes as there
+    are shaped movement sequences and gains little (README gives times).
+    The movement-sequence strategy, _preimages_by_moves, is its oracle in
+    the tests.
+
+    >>> from permstack.words import pattern_set
+    >>> len(preimages((1, 2, 3, 4), pattern_set("21")))
+    14
     """
     if not is_permutation(gamma):
         raise ValueError("preimages are computed for permutations")
     n = len(gamma)
     if not 0 <= n <= MAX_ENUM_N:
         raise ValueError(f"preimage search is capped at n <= {MAX_ENUM_N}")
-    k = tset.min_len
+    at = [0] * (n + 1)  # at[v]: v's index in gamma
+    for i, v in enumerate(gamma):
+        at[v] = i
+    stack = _Stack(tset.patterns)
+    letters = stack.letters
+    out: list[int] = []
+    word: list[int] = []
+    used = [False] * (n + 1)
+    found: set[Word] = set()
+
+    def walk() -> None:
+        if len(word) == n:
+            found.add(tuple(word))
+            return
+        nxt = len(out)
+        top = at[letters[-1]] if letters else n
+        # gamma's letters from nxt up to the top have not entered yet
+        for i in range(nxt, n if top == nxt else top):
+            x = gamma[i]
+            if used[x]:
+                continue
+            popped = _enter(x, stack, out)
+            if (not popped or at[out[-1]] == len(out) - 1) and (
+                len(letters) < 2 or i < at[letters[-2]]
+            ):
+                used[x] = True
+                word.append(x)
+                walk()
+                word.pop()
+                used[x] = False
+            stack.undo(popped, out)
+
+    # the first k-2 letters stay at the stack bottom and come out last
+    for x in reversed(gamma[max(n - tset.min_len + 2, 0) :]):
+        _enter(x, stack, out)
+        used[x] = True
+        word.append(x)
+    walk()
+    return found
+
+
+def _preimages_by_moves(gamma: Word, tset: PatternSet) -> set[Word]:
+    """The slow oracle of preimages: rebuild one candidate from each shaped
+    movement sequence and keep those that really sort to gamma (distinct
+    preimages always follow distinct sequences, so nothing is missed)."""
+    n, k = len(gamma), tset.min_len
     if n < k - 2:
         # no pattern can ever fit in the stack: the machine just reverses
         return {reverse(gamma)}

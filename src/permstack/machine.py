@@ -18,12 +18,19 @@ pattern.  Every stack frame carries its state, so a push test costs two
 bisections of the sorted stack letters and one dict lookup.  Only a slot
 never tried from that state asks the oracle, _push_keeps_avoiding, which
 tests the stack letters for containment directly: containment compares
-letters only by < and >, so they need no ranking first.  The tables
+letters only by < and >, so they need no ranking first.  The stack itself
+avoids the set, as each of its letters passed this test, so the oracle
+looks only at occurrences anchored at the new top letter.  The tables
 memoise that oracle and, like an lru_cache, report their hits and misses
 through _push_keeps_avoiding.cache_info().  They grow lazily, one per
 pattern set, shared by all runs in a process.  Once they hold more than
 STATE_BUDGET states in all, the next run starts fresh tables; a run under
 way keeps the table it started with and holds whatever states it reaches.
+
+A stack keeps the states of the frames it pops, and the output keeps their
+letters, so a walk over inputs (the prefix-tree sweep, the preimage
+search) takes back a step with _Stack.undo, which restores those frames
+and runs no push test.
 """
 
 from __future__ import annotations
@@ -59,9 +66,10 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 class _Stack:
     """The machine's stack: its letters bottom to top, the pattern state of
-    each frame, and the same letters sorted, which place the next letter."""
+    each frame, the same letters sorted, which place the next letter, and
+    the states of the frames popped so far, last on top, for undo."""
 
-    __slots__ = ("patterns", "letters", "states", "ranked")
+    __slots__ = ("patterns", "letters", "states", "ranked", "spent")
 
     def __init__(self, patterns: frozenset):
         global _states_held
@@ -72,19 +80,33 @@ class _Stack:
         self.letters: list[int] = []
         self.states = [_tables.setdefault(patterns, {})]
         self.ranked: list[int] = []
+        self.spent: list[dict] = []
 
     def pop(self) -> int:
         x = self.letters.pop()
-        self.states.pop()
+        self.spent.append(self.states.pop())
         self.ranked.remove(x)
         return x
+
+    def undo(self, popped: int, out: list[int]) -> None:
+        """Take back the last _enter, which popped `popped` letters to out:
+        drop the letter it pushed and put those letters back from out with
+        their saved states, so no push test runs."""
+        self.states.pop()
+        self.ranked.remove(self.letters.pop())
+        for _ in range(popped):
+            x = out.pop()
+            self.letters.append(x)
+            self.states.append(self.spent.pop())
+            insort(self.ranked, x)
 
 
 def _push_keeps_avoiding(x: int, stack: _Stack) -> bool:
     """The oracle: does the stack, read top to bottom with x on top, still
-    avoid every forbidden pattern?"""
+    avoid every forbidden pattern?  The stack alone avoids them, as every
+    push passed this test, so only occurrences starting at x can be new."""
     top_down = (x, *reversed(stack.letters))
-    return not any(contains(top_down, p) for p in stack.patterns)
+    return not any(contains(top_down, p, anchored=True) for p in stack.patterns)
 
 
 def _table_info() -> CacheInfo:

@@ -4,8 +4,8 @@ Each suite sweeps S_n up to a cap and returns fine-grained Check records;
 a suite passes when every check does.  Sweep sizes follow the suite's
 subject: the sharpness suite pushes length-4 patterns one length further
 than --max-n (capped at 8) because that is where their bound bites, and
-the preimage-agreement half of the bound suite stops at n = 6 to keep the
-default run around a minute.
+the preimage-agreement half of the bound suite stops at n = 6 (see
+AGREEMENT_CAP).
 """
 
 from __future__ import annotations
@@ -111,14 +111,17 @@ BOUND_SETS = (
     pattern_set("213"),
 )
 
-#: The movement-vs-brute agreement sweep is quadratic-ish in n!, so it stays
-#: at n <= 6 regardless of --max-n; the bound check itself honours max_n.
+#: The agreement check searches the preimages of every target in S_n, so
+#: it grows faster than the sweep: at n = 7 it would cost about ten times
+#: the rest of the suite at --max-n 7.  It stays at n <= 6 regardless of
+#: --max-n; the bound check itself honours max_n.
 AGREEMENT_CAP = 6
 
 
 def suite_bound(max_n: int = 7, workers: int = 1) -> list[Check]:
-    """Preimage counts never exceed catalan(n - k + 2); the movement-sequence
-    and brute-force preimage strategies return identical sets."""
+    """Preimage counts never exceed catalan(n - k + 2); the output-guided
+    preimage search returns, for every target, the preimage set that one
+    sweep of S_n tabulates."""
     checks = []
     for tset in BOUND_SETS:
         label = format_patterns(tset)

@@ -84,8 +84,9 @@ def _tightest_bounds(p: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(lo), tuple(hi)
 
 
-def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
-    """Yield every ascending index tuple whose letters in w form the pattern p.
+def occurrences(w: Word, p: Word, anchored: bool = False) -> Iterator[tuple[int, ...]]:
+    """Yield every ascending index tuple whose letters in w form the pattern p;
+    when anchored, only those starting at index 0.
 
     p must be a permutation.  Tuples come out in lexicographic order of the
     index sequence.
@@ -112,19 +113,27 @@ def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
                 yield from extend(i + 1)
             chosen.pop()
 
-    yield from extend(0)
+    if not anchored:
+        yield from extend(0)
+    elif m == 1:
+        if n:
+            yield (0,)
+    elif n >= m:  # p's first letter has no bound to meet
+        chosen.append(0)
+        yield from extend(1)
 
 
-def contains(w: Word, p: Word) -> bool:
+def contains(w: Word, p: Word, anchored: bool = False) -> bool:
     """True when some (not necessarily contiguous) subsequence of w is
-    order-isomorphic to the permutation p.
+    order-isomorphic to the permutation p; when anchored, one starting at
+    w's first letter.
 
     >>> contains((1, 3, 2, 4, 5, 6), (1, 3, 2))
     True
     >>> contains((4, 5, 3, 1, 2), (1, 3, 2))
     False
     """
-    return next(occurrences(w, p), None) is not None
+    return next(occurrences(w, p, anchored), None) is not None
 
 
 def avoids(w: Word, p: Word) -> bool:

@@ -5,6 +5,7 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstack import dynamics as dyn
 from permstack.machine import sort
@@ -271,16 +272,47 @@ def brute_preimages(gamma, tset):
 
 @pytest.mark.parametrize(
     "tset",
-    [T_MAIN, pattern_set("213", "231"), pattern_set("213"), pattern_set("132"), pattern_set("21")],
+    [
+        T_MAIN,
+        pattern_set("213", "231"),
+        pattern_set("213"),
+        pattern_set("132"),
+        pattern_set("21"),
+        pattern_set("2134"),
+        pattern_set("1234", "2134"),
+        pattern_set("123", "2143"),
+        pattern_set("2413", "3142"),
+    ],
 )
 def test_preimage_strategies_agree(tset):
     for n in range(0, 6):
         table = dyn.preimage_map(tset, n)
         k = tset.min_len
         for gamma in enumerate_permutations(n):
-            via_moves = dyn.preimages(gamma, tset)
-            assert via_moves == brute_preimages(gamma, tset) == table.get(gamma, set())
-            assert len(via_moves) <= catalan(max(n - k + 2, 0))
+            found = dyn.preimages(gamma, tset)
+            assert found == dyn._preimages_by_moves(gamma, tset)
+            assert found == brute_preimages(gamma, tset) == table.get(gamma, set())
+            assert len(found) <= catalan(max(n - k + 2, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(7, 10).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.sampled_from(["itself", "its image", "identity", "reverse identity"]),
+    st.sampled_from(
+        [pattern_set("21"), pattern_set("213"), pattern_set("2134"), T_MAIN,
+         pattern_set("213", "231"), pattern_set("2413", "3142"), pattern_set("123", "2143")]
+    ),
+)
+def test_preimages_match_movement_oracle_at_seven_to_ten(perm, target, tset):
+    n = len(perm)
+    gamma = {
+        "itself": tuple(perm),
+        "its image": sort(tuple(perm), tset),
+        "identity": identity(n),
+        "reverse identity": reverse_identity(n),
+    }[target]
+    assert dyn.preimages(gamma, tset) == dyn._preimages_by_moves(gamma, tset)
 
 
 @pytest.mark.parametrize("tset", [pattern_set("132"), pattern_set("21")])
@@ -289,11 +321,11 @@ def test_preimage_strategies_agree_at_six(tset):
     table = dyn.preimage_map(tset, 6)
     bound = catalan(6 - tset.min_len + 2)
     for i, gamma in enumerate(enumerate_permutations(6)):
-        via_moves = dyn.preimages(gamma, tset)
-        assert via_moves == table.get(gamma, set())
-        assert len(via_moves) <= bound
+        found = dyn.preimages(gamma, tset)
+        assert found == table.get(gamma, set())
+        assert len(found) <= bound
         if i % 48 in (0, 47):  # the oracle sorts all of S_6 per target: 30 targets
-            assert via_moves == brute_preimages(gamma, tset)
+            assert found == brute_preimages(gamma, tset)
 
 
 def test_preimages_validates():

@@ -230,6 +230,32 @@ def test_state_budget_reset_keeps_outputs(monkeypatch):
     assert tuple(out) + tuple(reversed(stack.letters)) == sort(w, T_MAIN)
 
 
+def classical_sweep_push_tests(n):
+    # the prefix tree of S_n replayed on a plain list stack: each entered
+    # letter costs one test per pop it forces plus the test that admits it
+    tests = 0
+
+    def walk(rest, stack):
+        nonlocal tests
+        for x in rest:
+            below = list(stack)
+            while below and below[-1] < x:
+                below.pop()
+                tests += 1
+            tests += 1
+            walk(rest - {x}, below + [x])
+
+    walk(frozenset(range(1, n + 1)), [])
+    return tests
+
+
+def test_sweep_undo_makes_no_push_test():
+    for n in (6, 8):
+        before = machine._lookups
+        sort_images(CLASSICAL, n)
+        assert machine._lookups - before == classical_sweep_push_tests(n)
+
+
 @pytest.mark.parametrize(
     "tset",
     [

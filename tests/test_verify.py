@@ -5,6 +5,7 @@ import doctest
 
 import pytest
 
+import permstack.dynamics
 import permstack.machine
 import permstack.textio
 import permstack.words
@@ -32,7 +33,8 @@ def test_check_details_empty_on_pass():
 
 
 @pytest.mark.parametrize(
-    "module", [permstack.words, permstack.machine, permstack.textio, "README.md"]
+    "module",
+    [permstack.words, permstack.machine, permstack.dynamics, permstack.textio, "README.md"],
 )
 def test_doctests(module):
     if isinstance(module, str):  # a text file at the repository root

@@ -92,6 +92,16 @@ def test_occurrences_are_real_and_complete():
         assert found == expected
 
 
+def test_anchored_occurrences_are_those_at_index_zero():
+    patterns = [p for m in range(1, 5) for p in itertools.permutations(range(1, m + 1))]
+    for length in range(7):
+        for w in itertools.product((1, 2, 3, 4), repeat=length):
+            for p in patterns:
+                at_zero = [idx for idx in occurrences(w, p) if idx[0] == 0]
+                assert list(occurrences(w, p, anchored=True)) == at_zero
+                assert contains(w, p, anchored=True) == bool(at_zero)
+
+
 def test_avoids_all():
     assert avoids_all((3, 1, 2), [(1, 2, 3), (1, 3, 2)])
     assert not avoids_all((1, 4, 2, 5), [(1, 3, 2)])
