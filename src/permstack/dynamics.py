@@ -409,59 +409,37 @@ def fertility_max(tset: PatternSet, n: int, workers: int = 1) -> FertilityReport
 # extremal constructions meeting the fertility bound
 
 
-def extremal_literal(pattern: Word) -> Word:
-    """The literal word pinning the stack bottom in the extremal fertility
-    construction; defined when the pattern's first two letters are
-    consecutive integers.
-
-    A literal word is a tuple of nonzero ints naming exact letters of a
-    length-n permutation: v > 0 names the letter v itself, v < 0 the letter
-    whose complement value is -v (that is, the letter n + 1 + v).  Letters
-    of the pattern past the second map to themselves when below the first
-    letter and to complement-marked values when above it.
-    """
+def _extremal_pins(pattern: Word, n: int) -> Word:
+    """The k-2 letters that pin the stack bottom in the extremal fertility
+    construction, defined when the pattern's first two letters are
+    consecutive integers: each pattern letter v past the second stays v when
+    below the first letter and becomes v + n - k otherwise."""
     if not is_permutation(pattern) or len(pattern) < 3:
         raise ValueError("need a permutation pattern of length at least 3")
     if abs(pattern[0] - pattern[1]) != 1:
         raise ValueError("first two pattern letters must be consecutive")
-    k = len(pattern)
-    out = []
-    for v in pattern[2:]:
-        out.append(v if v < pattern[0] else -(k + 1 - v))
-    return tuple(out)
-
-
-def _literal_targets(lit: Word, n: int) -> list[int]:
-    targets = [v if v > 0 else n + 1 + v for v in lit]
-    if len(set(targets)) != len(targets) or not all(1 <= t <= n for t in targets):
-        raise ValueError("literal word does not embed in a length-n permutation")
-    return targets
+    if n < len(pattern):
+        raise ValueError("target length must be at least the pattern length")
+    shift = n - len(pattern)
+    return tuple(v if v < pattern[0] else v + shift for v in pattern[2:])
 
 
 def extremal_target(pattern: Word, n: int) -> Word:
     """The length-n permutation whose preimage count meets the Catalan bound
     for a single forbidden pattern with consecutive first letters: its last
-    k-2 entries literally realize extremal_literal(pattern) and the rest run
-    increasing (first letter above second) or decreasing (below)."""
-    lit = extremal_literal(pattern)
-    if n < len(pattern):
-        raise ValueError("target length must be at least the pattern length")
-    tail = _literal_targets(lit, n)
-    rest = sorted(set(range(1, n + 1)) - set(tail))
-    if pattern[0] < pattern[1]:
-        rest.reverse()
-    return tuple(rest) + tuple(tail)
+    k-2 entries are the pinned letters and the rest run increasing (first
+    letter above second) or decreasing (below)."""
+    tail = _extremal_pins(pattern, n)
+    rest = sorted(set(range(1, n + 1)) - set(tail), reverse=pattern[0] < pattern[1])
+    return tuple(rest) + tail
 
 
 def extremal_family(pattern: Word, n: int) -> set[Word]:
-    """The catalan(n - k + 2) permutations whose first k-2 entries literally
-    realize the reversed extremal literal and whose remaining entries avoid
-    231 (first pattern letter above second) or 213 (below); exactly the
-    preimages of extremal_target(pattern, n)."""
-    lit = extremal_literal(pattern)
-    if n < len(pattern):
-        raise ValueError("target length must be at least the pattern length")
-    head = tuple(_literal_targets(reverse(lit), n))
+    """The catalan(n - k + 2) permutations whose first k-2 entries are the
+    pinned letters reversed and whose remaining entries avoid 231 (first
+    pattern letter above second) or 213 (below); exactly the preimages of
+    extremal_target(pattern, n)."""
+    head = _extremal_pins(pattern, n)[::-1]
     rest_letters = sorted(set(range(1, n + 1)) - set(head))
     avoided = (2, 3, 1) if pattern[0] > pattern[1] else (2, 1, 3)
     family = set()

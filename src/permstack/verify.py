@@ -1,23 +1,29 @@
 """Named exhaustive verification suites behind the CLI ``verify`` command.
 
 Each suite sweeps S_n up to a cap and returns fine-grained Check records;
-a suite passes when every check does.  Sweep sizes follow the suite's
-subject: the sharpness suite pushes length-4 patterns one length further
-than --max-n (capped at 8) because that is where their bound bites, and
-the preimage-agreement half of the bound suite stops at n = 6 (see
-AGREEMENT_CAP).
+a suite passes when every check does.  A check states its claim as an
+ordered, lazy search for counterexamples: it fails with the first one the
+search finds, described in its detail, and passes with an empty detail
+when the search runs out.  So a failing check stops sweeping at its first
+counterexample.
+
+Sweep sizes follow the suite's subject: the sharpness suite pushes
+length-4 patterns one length further than --max-n (capped at 8) because
+that is where their bound bites, and the preimage-agreement half of the
+bound suite stops at n = 6 (see AGREEMENT_CAP).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import factorial
 
 from . import dynamics as dyn
 from .machine import sort, sort_recursive
 from .textio import format_patterns, format_word
-from .words import PatternSet, catalan, enumerate_permutations, pattern_set
+from .words import PatternSet, Word, catalan, enumerate_permutations, pattern_set
 
 
 @dataclass
@@ -27,14 +33,22 @@ class Check:
     detail: str = ""
 
 
+def _check(name: str, failures: Iterable[str]) -> Check:
+    """The check fails with the first detail ``failures`` yields, and
+    passes when it yields none."""
+    for detail in failures:
+        return Check(name, False, detail)
+    return Check(name, True)
+
+
 def _small_pattern_sets() -> list[PatternSet]:
-    """Every reduced set of length-3 patterns of size at most 2, plus the
-    classical single descent."""
-    s3 = sorted(itertools.permutations((1, 2, 3)))
-    sets = [PatternSet(frozenset({p})) for p in s3]
-    sets += [PatternSet(frozenset(c)) for c in itertools.combinations(s3, 2)]
-    sets.append(pattern_set("21"))
-    return sets
+    """Every set of one or two length-3 patterns, plus the classical stack."""
+    sets = [
+        PatternSet(frozenset(c))
+        for size in (1, 2)
+        for c in itertools.combinations(dyn.LENGTH3_PATTERNS, size)
+    ]
+    return sets + [dyn.CLASSICAL_STACK]
 
 
 def suite_bijectivity(max_n: int = 7, workers: int = 1) -> list[Check]:
@@ -44,29 +58,26 @@ def suite_bijectivity(max_n: int = 7, workers: int = 1) -> list[Check]:
     for tset in _small_pattern_sets():
         label = format_patterns(tset)
         crit = dyn.bijectivity_criterion(tset)
-        collision = None
-        for n in range(1, max_n + 1):
-            res = dyn.verify_bijective(tset, n, workers)
-            if res is not True:
-                collision = (n, res)
-                break
-        agrees = crit == (collision is None)
-        detail = "" if agrees else f"criterion={crit} but collision={collision}"
-        checks.append(Check(f"bijectivity criterion vs sweep {{{label}}}", agrees, detail))
+        sweeps = ((n, dyn.verify_bijective(tset, n, workers)) for n in range(1, max_n + 1))
+        # the first collision, or None when every sweep is injective
+        first = next(((n, pair) for n, pair in sweeps if pair is not True), None)
+        agrees = crit == (first is None)
+        checks.append(
+            _check(
+                f"bijectivity criterion vs sweep {{{label}}}",
+                [] if agrees else [f"criterion={crit} but collision={first}"],
+            )
+        )
         if crit:
-            bad = None
-            for n in range(1, max_n + 1):
-                for p in enumerate_permutations(n):
-                    if dyn.inverse_sort(sort(p, tset), tset) != p:
-                        bad = p
-                        break
-                if bad:
-                    break
             checks.append(
-                Check(
+                _check(
                     f"inverse round-trip {{{label}}}",
-                    bad is None,
-                    "" if bad is None else f"fails at {format_word(bad)}",
+                    (
+                        f"fails at {format_word(p)}"
+                        for n in range(1, max_n + 1)
+                        for p in enumerate_permutations(n)
+                        if dyn.inverse_sort(sort(p, tset), tset) != p
+                    ),
                 )
             )
     return checks
@@ -84,25 +95,19 @@ RECURSION_SETS = (
 
 def suite_recursion(max_n: int = 7, workers: int = 1) -> list[Check]:
     """Simulation against the clumping recurrence, letter for letter."""
-    checks = []
-    for tset in RECURSION_SETS:
-        label = format_patterns(tset)
-        bad = None
-        for n in range(0, max_n + 1):
-            for p, img in zip(
-                enumerate_permutations(n), dyn.sort_images(tset, n, workers)
-            ):
-                if sort_recursive(p, tset) != img:
-                    bad = (p, img)
-                    break
-            if bad:
-                break
-        detail = "" if bad is None else (
-            f"{format_word(bad[0])}: simulation {format_word(bad[1])}"
-            f" vs recursion {format_word(sort_recursive(bad[0], tset))}"
+    return [
+        _check(
+            f"recursion oracle {{{format_patterns(tset)}}} n<={max_n}",
+            (
+                f"{format_word(p)}: simulation {format_word(img)}"
+                f" vs recursion {format_word(sort_recursive(p, tset))}"
+                for n in range(0, max_n + 1)
+                for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n, workers))
+                if sort_recursive(p, tset) != img
+            ),
         )
-        checks.append(Check(f"recursion oracle {{{label}}} n<={max_n}", bad is None, detail))
-    return checks
+        for tset in RECURSION_SETS
+    ]
 
 
 BOUND_SETS = (
@@ -118,82 +123,66 @@ BOUND_SETS = (
 AGREEMENT_CAP = 6
 
 
+def _bound_failures(tset: PatternSet, max_n: int, workers: int) -> Iterator[str]:
+    k = tset.min_len
+    for n in range(max(1, k - 2), max_n + 1):
+        bound = catalan(n - k + 2)
+        table = dyn.preimage_map(tset, n, workers)
+        over = (g for g, ps in table.items() if len(ps) > bound)
+        disagree = (
+            g
+            for g in (enumerate_permutations(n) if n <= AGREEMENT_CAP else ())
+            if dyn.preimages(g, tset) != table.get(g, set())
+        )
+        for g in itertools.chain(over, disagree):
+            yield f"fails at n={n}, {format_word(g)}"
+
+
 def suite_bound(max_n: int = 7, workers: int = 1) -> list[Check]:
     """Preimage counts never exceed catalan(n - k + 2); the output-guided
     preimage search returns, for every target, the preimage set that one
     sweep of S_n tabulates."""
-    checks = []
-    for tset in BOUND_SETS:
-        label = format_patterns(tset)
-        k = tset.min_len
-        worst = None
-        for n in range(max(1, k - 2), max_n + 1):
-            bound = catalan(n - k + 2)
-            table = dyn.preimage_map(tset, n, workers)
-            over = {g: ps for g, ps in table.items() if len(ps) > bound}
-            if over:
-                worst = (n, next(iter(over)))
-                break
-            if n <= AGREEMENT_CAP:
-                for g in enumerate_permutations(n):
-                    if dyn.preimages(g, tset) != table.get(g, set()):
-                        worst = (n, g)
-                        break
-            if worst:
-                break
-        checks.append(
-            Check(
-                f"preimage bound and agreement {{{label}}} n<={max_n}",
-                worst is None,
-                "" if worst is None else f"fails at n={worst[0]}, {format_word(worst[1])}",
-            )
+    return [
+        _check(
+            f"preimage bound and agreement {{{format_patterns(tset)}}} n<={max_n}",
+            _bound_failures(tset, max_n, workers),
         )
-    return checks
+        for tset in BOUND_SETS
+    ]
 
 
-def _sharpness_checks(pattern, max_n: int, workers: int) -> list[Check]:
-    label = format_word(pattern)
+def _sharpness_failures(pattern: Word, sharp: bool, max_n: int, workers: int) -> Iterator[str]:
+    """One rule per n: the bound is met exactly when the first two letters
+    are consecutive (sharp), and never passed; for sharp patterns the
+    extremal target is also a witness whose preimages are the family."""
     k = len(pattern)
     tset = PatternSet(frozenset({pattern}))
-    checks = []
-    if abs(pattern[0] - pattern[1]) == 1:
-        ok, detail = True, ""
-        for n in range(k, max_n + 1):
-            rep = dyn.fertility_max(tset, n, workers)
-            bound = catalan(n - k + 2)
+    miss = "!=" if sharp else "reaches"
+    # at n = k every pattern meets the bound, so only sharp ones start there
+    for n in range(k if sharp else k + 1, max_n + 1):
+        rep = dyn.fertility_max(tset, n, workers)
+        bound = catalan(n - k + 2)
+        if rep.max_count > bound or (rep.max_count == bound) != sharp:
+            yield f"n={n}: max {rep.max_count} {miss} bound {bound}"
+        if sharp:
             target = dyn.extremal_target(pattern, n)
-            if rep.max_count != bound:
-                ok, detail = False, f"n={n}: max {rep.max_count} != bound {bound}"
-                break
             if target not in rep.witnesses:
-                ok, detail = False, f"n={n}: target {format_word(target)} not a witness"
-                break
+                yield f"n={n}: target {format_word(target)} not a witness"
             if dyn.preimages(target, tset) != dyn.extremal_family(pattern, n):
-                ok, detail = False, f"n={n}: family mismatch"
-                break
-        checks.append(Check(f"sharp bound met ({label})", ok, detail))
-    else:
-        ok, detail = True, ""
-        for n in range(k + 1, max_n + 1):
-            rep = dyn.fertility_max(tset, n, workers)
-            bound = catalan(n - k + 2)
-            if rep.max_count >= bound:
-                ok, detail = False, f"n={n}: max {rep.max_count} reaches bound {bound}"
-                break
-        checks.append(Check(f"bound unattained ({label})", ok, detail))
-    return checks
+                yield f"n={n}: family mismatch"
 
 
 def suite_sharpness(max_n: int = 7, workers: int = 1) -> list[Check]:
     """Single-pattern fertility: the Catalan bound is met exactly when the
     pattern's first two letters are consecutive, with the extremal target
     and family realizing it."""
+    catalogue = [(p, max_n) for p in dyn.LENGTH3_PATTERNS]
+    catalogue += [(p, min(max_n + 1, 8)) for p in itertools.permutations((1, 2, 3, 4))]
     checks = []
-    for pattern in itertools.permutations((1, 2, 3)):
-        checks.extend(_sharpness_checks(pattern, max_n, workers))
-    cap4 = min(max_n + 1, 8)
-    for pattern in itertools.permutations((1, 2, 3, 4)):
-        checks.extend(_sharpness_checks(pattern, cap4, workers))
+    for pattern, cap in catalogue:
+        sharp = abs(pattern[0] - pattern[1]) == 1
+        name = f"{'sharp bound met' if sharp else 'bound unattained'} ({format_word(pattern)})"
+        checks.append(_check(name, _sharpness_failures(pattern, sharp, cap, workers)))
     return checks
 
 
@@ -229,14 +218,14 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
             )
         )
         if n >= 3:
-            bad = next(
-                (p for p in half_dec if dyn.half_decreasing_step(p) != sort(p, tset)), None
-            )
             checks.append(
-                Check(
+                _check(
                     f"closed form matches simulation (n={n})",
-                    bad is None,
-                    "" if bad is None else f"fails at {format_word(bad)}",
+                    (
+                        f"fails at {format_word(p)}"
+                        for p in half_dec
+                        if dyn.half_decreasing_step(p) != sort(p, tset)
+                    ),
                 )
             )
         absorbed = all(
@@ -295,23 +284,18 @@ CONJECTURE_SETS = (pattern_set("132", "213"), pattern_set("231", "213"))
 def suite_conjectures(max_n: int = 7, workers: int = 1) -> list[Check]:
     """Only the identity and its reverse should be periodic for these maps;
     a counterexample is reported verbatim rather than assumed away."""
-    checks = []
-    for tset in CONJECTURE_SETS:
-        label = format_patterns(tset)
-        bad = None
-        for n in range(1, max_n + 1):
-            ok, witness = dyn.trivial_periodic_points_only(tset, n, workers)
-            if not ok:
-                bad = (n, witness)
-                break
-        checks.append(
-            Check(
-                f"only trivial periodic points {{{label}}} n<={max_n}",
-                bad is None,
-                "" if bad is None else f"counterexample at n={bad[0]}: {format_word(bad[1])}",
-            )
+    return [
+        _check(
+            f"only trivial periodic points {{{format_patterns(tset)}}} n<={max_n}",
+            (
+                f"counterexample at n={n}: {format_word(witness)}"
+                for n in range(1, max_n + 1)
+                for ok, witness in [dyn.trivial_periodic_points_only(tset, n, workers)]
+                if not ok
+            ),
         )
-    return checks
+        for tset in CONJECTURE_SETS
+    ]
 
 
 SUITES = {

@@ -47,3 +47,13 @@ def naive_trace(w, patterns):
 def naive_sort(w, patterns):
     events = naive_trace(w, patterns)
     return events[-1][3] if events else ()
+
+
+def naive_machine_count(first, second, n):
+    # an independent two-stage machine: list-based stack, combinations scan
+    target = tuple(range(1, n + 1))
+    return sum(
+        1
+        for p in itertools.permutations(range(1, n + 1))
+        if naive_sort(naive_sort(p, [first, second]), [(2, 1)]) == target
+    )

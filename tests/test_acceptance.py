@@ -8,10 +8,9 @@ a hand-traced constant, a value verified against an independent oracle
 from tests/oracles.py, or a closed-form count (catalan / factorial).
 """
 
-import itertools
 from math import factorial
 
-from oracles import naive_sort
+from oracles import naive_machine_count
 from permstack import dynamics as dyn
 from permstack import verify
 from permstack.machine import sort, sort_with_trace
@@ -40,16 +39,6 @@ def test_criterion_01_figure_regression():
 
 
 # --- criterion 2: the 15-pair count table ------------------------------------
-
-
-def naive_machine_count(first, second, n):
-    # an independent two-stage machine: list-based stack, combinations scan
-    target = tuple(range(1, n + 1))
-    return sum(
-        1
-        for p in itertools.permutations(range(1, n + 1))
-        if naive_sort(naive_sort(p, [first, second]), [(2, 1)]) == target
-    )
 
 
 TRUE_REFERENCE_ROWS = {

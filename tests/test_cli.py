@@ -225,7 +225,8 @@ def test_verify_suite_small(capsys):
 def test_verify_all_tiny(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "3")
     assert code == 0
-    assert "FAIL" not in out
+    golden = Path(__file__).parent / "golden" / "verify_all_max_n_3.txt"
+    assert out == golden.read_text()
 
 
 def test_parallel_output_is_byte_identical(capsys):
@@ -283,7 +284,7 @@ def test_readme_cli_examples_run(capsys):
     for argv, comment in readme_cli_examples():
         if argv[0] == "verify":
             # the README's verify line sweeps every suite at --max-n 7 (about
-            # 34 s on 2 vCPUs); test_acceptance runs those suites already
+            # 22 s on a 2-vCPU Xeon guest); test_acceptance runs those suites already
             continue
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)

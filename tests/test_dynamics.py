@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permstack import dynamics as dyn
 from permstack.machine import sort
+from permstack.verify import _small_pattern_sets
 from permstack.words import (
     catalan,
     complement,
@@ -23,13 +24,6 @@ from permstack.words import (
 
 T_MAIN = pattern_set("123", "132")
 S3 = list(itertools.permutations((1, 2, 3)))
-
-
-def small_pattern_sets():
-    sets = [pattern_set(p) for p in S3]
-    sets += [pattern_set(a, b) for a, b in itertools.combinations(S3, 2)]
-    sets.append(pattern_set("21"))
-    return sets
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -80,7 +74,7 @@ def test_verify_bijective_passes_for_closed_sets():
         assert dyn.verify_bijective(pattern_set("123", "213"), n) is True
 
 
-@pytest.mark.parametrize("tset", small_pattern_sets())
+@pytest.mark.parametrize("tset", _small_pattern_sets())
 def test_criterion_matches_exhaustive_sweep(tset):
     crit = dyn.bijectivity_criterion(tset)
     injective = all(dyn.verify_bijective(tset, n) is True for n in range(1, 6))
@@ -369,21 +363,14 @@ def test_fertility_bound_guard():
 # --- extremal constructions -------------------------------------------------------
 
 
-def test_extremal_literal_values():
-    assert dyn.extremal_literal((2, 1, 3)) == (-1,)
-    assert dyn.extremal_literal((3, 2, 4, 1)) == (-1, 1)
-    assert dyn.extremal_literal((2, 3, 1)) == (1,)
-    for k in (3, 4):
-        for sigma in itertools.permutations(range(1, k + 1)):
-            if abs(sigma[0] - sigma[1]) == 1:
-                assert len(dyn.extremal_literal(sigma)) == k - 2
-
-
-def test_extremal_literal_rejects():
-    with pytest.raises(ValueError):
-        dyn.extremal_literal((1, 3, 2))
-    with pytest.raises(ValueError):
-        dyn.extremal_literal((2, 1))
+def test_extremal_rejects():
+    for build in (dyn.extremal_target, dyn.extremal_family):
+        with pytest.raises(ValueError):
+            build((1, 3, 2), 5)  # first two letters not consecutive
+        with pytest.raises(ValueError):
+            build((2, 1), 5)  # shorter than 3
+        with pytest.raises(ValueError):
+            build((2, 1, 3), 2)  # n below the pattern length
 
 
 def test_extremal_target_values():
