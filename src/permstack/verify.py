@@ -61,11 +61,15 @@ def suite_bijectivity(max_n: int = 7, workers: int = 1) -> list[Check]:
         sweeps = ((n, dyn.verify_bijective(tset, n, workers)) for n in range(1, max_n + 1))
         # the first collision, or None when every sweep is injective
         first = next(((n, pair) for n, pair in sweeps if pair is not True), None)
-        agrees = crit == (first is None)
+        if first is None:
+            found = f"no collision for n<={max_n}"
+        else:
+            n, (a, b) = first
+            found = f"{format_word(a)} and {format_word(b)} collide at n={n}"
         checks.append(
             _check(
                 f"bijectivity criterion vs sweep {{{label}}}",
-                [] if agrees else [f"criterion={crit} but collision={first}"],
+                [] if crit == (first is None) else [f"criterion={crit} but {found}"],
             )
         )
         if crit:
@@ -228,11 +232,16 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
                     ),
                 )
             )
-        absorbed = all(
-            any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
-            for rep in (dyn.orbit(p, tset) for p in enumerate_permutations(n))
+        checks.append(
+            _check(
+                f"every orbit reaches half-decreasing (n={n})",
+                (
+                    f"fails at {format_word(rep.start)}"
+                    for rep in (dyn.orbit(p, tset) for p in enumerate_permutations(n))
+                    if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
+                ),
+            )
         )
-        checks.append(Check(f"every orbit reaches half-decreasing (n={n})", absorbed))
     return checks
 
 
@@ -245,15 +254,17 @@ COMPLEMENT_SETS = (
 
 def suite_complement(max_n: int = 7, workers: int = 1) -> list[Check]:
     """Complementing input and patterns complements the output."""
-    checks = []
-    for tset in COMPLEMENT_SETS:
-        label = format_patterns(tset)
-        ok = all(
-            dyn.complement_conjugation_check(tset, n, workers)
-            for n in range(1, max_n + 1)
+    return [
+        _check(
+            f"complement conjugation {{{format_patterns(tset)}}} n<={max_n}",
+            (
+                f"fails at n={n}"
+                for n in range(1, max_n + 1)
+                if not dyn.complement_conjugation_check(tset, n, workers)
+            ),
         )
-        checks.append(Check(f"complement conjugation {{{label}}} n<={max_n}", ok))
-    return checks
+        for tset in COMPLEMENT_SETS
+    ]
 
 
 MACHINE_CATALAN_PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))

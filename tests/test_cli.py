@@ -283,8 +283,8 @@ def test_readme_cli_examples_run(capsys):
     ran = 0
     for argv, comment in readme_cli_examples():
         if argv[0] == "verify":
-            # the README's verify line sweeps every suite at --max-n 7 (about
-            # 22 s on a 2-vCPU Xeon guest); test_acceptance runs those suites already
+            # the README's verify line sweeps every suite at --max-n 7 (20-22 s
+            # on a 2-vCPU Xeon guest); test_acceptance runs those suites already
             continue
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)

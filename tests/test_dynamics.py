@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permstack import dynamics as dyn
 from permstack.machine import sort
-from permstack.verify import _small_pattern_sets
+from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS
 from permstack.words import (
     catalan,
     complement,
@@ -19,7 +19,6 @@ from permstack.words import (
     pattern_set,
     reverse,
     reverse_identity,
-    swap_first_two,
 )
 
 T_MAIN = pattern_set("123", "132")
@@ -29,8 +28,10 @@ S3 = list(itertools.permutations((1, 2, 3)))
 # --- sweeps -------------------------------------------------------------------
 
 
+# RECURSION_SETS: the recursion suite compares the sweep with sort_recursive
+# on these sets, so this comparison also checks sort itself against it
 @pytest.mark.parametrize(
-    "tset", [T_MAIN, pattern_set("213"), pattern_set("21"), pattern_set("123", "2143")]
+    "tset", [*RECURSION_SETS, pattern_set("213"), pattern_set("123", "2143")]
 )
 def test_sort_images_matches_pointwise(tset):
     for n in range(0, 8):
@@ -67,18 +68,6 @@ def test_verify_bijective_finds_known_collisions():
     table = dyn.preimage_map(pattern_set("21"), 3)
     assert table[(1, 2, 3)] == {(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)}
     assert table[(2, 1, 3)] == {(2, 3, 1)}
-
-
-def test_verify_bijective_passes_for_closed_sets():
-    for n in range(1, 7):
-        assert dyn.verify_bijective(pattern_set("123", "213"), n) is True
-
-
-@pytest.mark.parametrize("tset", _small_pattern_sets())
-def test_criterion_matches_exhaustive_sweep(tset):
-    crit = dyn.bijectivity_criterion(tset)
-    injective = all(dyn.verify_bijective(tset, n) is True for n in range(1, 6))
-    assert crit == injective
 
 
 def test_inverse_sort_round_trip():
@@ -140,78 +129,6 @@ def test_machine_images_match_machine_sort():
     assert dyn.machine_images(*pair, 7, workers=2) == dyn.machine_images(*pair, 7)
 
 
-@pytest.mark.parametrize(
-    "pair,expected",
-    [
-        (((1, 3, 2), (3, 1, 2)), (1, 2, 5, 14)),
-        (((1, 3, 2), (2, 1, 3)), (1, 2, 5, 16)),
-        (((2, 3, 1), (3, 1, 2)), (1, 2, 6, 23)),
-        (((1, 2, 3), (3, 2, 1)), (1, 2, 4, 7)),
-    ],
-)
-def test_sort_count_rows(pair, expected):
-    got = tuple(dyn.sort_count(pair[0], pair[1], n) for n in range(1, 5))
-    assert got == expected
-
-
-@pytest.mark.parametrize("sigma", [(1, 2, 3), (1, 3, 2), (2, 3, 1)])
-def test_machine_catalan_counts(sigma):
-    tau = swap_first_two(sigma)
-    for n in range(1, 6):
-        assert dyn.sort_count(sigma, tau, n) == catalan(n)
-
-
-FROZEN_TABLE_4 = {
-    # computed by three independent routes (prefix-tree machine, clumping
-    # recursion, naive combinations-based machine); the reference tabulation
-    # agrees on 12 rows and is demonstrably garbled on the rest
-    ((1, 2, 3), (1, 3, 2)): (1, 2, 5, 14),
-    ((1, 2, 3), (2, 1, 3)): (1, 2, 5, 14),
-    ((1, 2, 3), (2, 3, 1)): (1, 2, 6, 21),
-    ((1, 2, 3), (3, 1, 2)): (1, 2, 5, 15),
-    ((1, 2, 3), (3, 2, 1)): (1, 2, 4, 7),
-    ((1, 3, 2), (2, 1, 3)): (1, 2, 5, 16),
-    ((1, 3, 2), (2, 3, 1)): (1, 2, 6, 22),
-    ((1, 3, 2), (3, 1, 2)): (1, 2, 5, 14),
-    ((1, 3, 2), (3, 2, 1)): (1, 2, 4, 10),
-    ((2, 1, 3), (2, 3, 1)): (1, 2, 6, 23),
-    ((2, 1, 3), (3, 1, 2)): (1, 2, 5, 16),
-    ((2, 1, 3), (3, 2, 1)): (1, 2, 4, 12),
-    ((2, 3, 1), (3, 1, 2)): (1, 2, 6, 23),
-    ((2, 3, 1), (3, 2, 1)): (1, 2, 5, 14),
-    ((3, 1, 2), (3, 2, 1)): (1, 2, 4, 10),
-}
-
-
-def test_build_sort_table_golden():
-    table = dyn.build_sort_table(4)
-    assert len(table.rows) == 15
-    assert table.rows == tuple(sorted(table.rows, key=lambda r: (r.sigma, r.tau)))
-    for row in table.rows:
-        assert row.counts == FROZEN_TABLE_4[(row.sigma, row.tau)]
-        assert all(c <= factorial(n) for n, c in enumerate(row.counts, start=1))
-    catalan_rows = [r for r in table.rows if r.is_catalan]
-    assert {(r.sigma, r.tau) for r in catalan_rows} == {
-        ((1, 2, 3), (1, 3, 2)),
-        ((1, 2, 3), (2, 1, 3)),
-        ((1, 3, 2), (3, 1, 2)),
-        ((2, 3, 1), (3, 2, 1)),
-    }
-
-
-def test_build_sort_table_notes():
-    table = dyn.build_sort_table(4)
-    notes = {(r.sigma, r.tau): r.note for r in table.rows}
-    assert "conflict" in notes[((2, 1, 3), (2, 3, 1))]
-    assert "twice" in notes[((1, 2, 3), (2, 3, 1))]
-    assert "no reference" in notes[((1, 3, 2), (2, 3, 1))]
-    assert "no reference" in notes[((2, 1, 3), (3, 1, 2))]
-    # the reference prints 15 here; the computed 16 is flagged, not hidden
-    assert notes[((1, 3, 2), (2, 1, 3))].startswith("DIFFERS")
-    assert notes[((1, 3, 2), (3, 1, 2))] == "matches reference"
-    assert notes[((2, 1, 3), (3, 2, 1))] == "matches reference"
-
-
 def test_build_sort_table_small_window():
     # comparison window shrinks with max_n and still matches
     table = dyn.build_sort_table(2)
@@ -240,15 +157,6 @@ def test_build_sort_table_extends_past_reference_window():
 def test_classical_identity_preimages_are_catalan():
     for n in range(0, 7):
         assert len(dyn.preimages(identity(n), pattern_set("21"))) == catalan(n)
-
-
-def test_identity_preimage_structure_for_213_tau():
-    # the singleton {213} obeys the same law as {213, tau}
-    for tset in (pattern_set("213", "231"), pattern_set("213", "321"), pattern_set("213")):
-        for n in range(3, 6):
-            expected = {(n,) + rho for rho in enumerate_avoiders(n - 1, [(2, 3, 1)])}
-            assert dyn.preimages(identity(n), tset) == expected
-            assert len(expected) == catalan(n - 1)
 
 
 def test_reverse_identity_preimage_structure_for_231_tau():
@@ -337,24 +245,6 @@ def test_preimages_below_pattern_length_is_reverse():
 # --- fertility -------------------------------------------------------------------
 
 
-def test_fertility_213_231():
-    for n in range(2, 7):
-        rep = dyn.fertility_max(pattern_set("213", "231"), n)
-        assert rep.max_count == catalan(n - 1) == rep.bound
-        assert rep.witnesses == frozenset({identity(n), reverse_identity(n)})
-
-
-def test_fertility_132_misses_bound():
-    rep = dyn.fertility_max(pattern_set("132"), 5)
-    assert rep.max_count < catalan(4) == rep.bound
-
-
-def test_fertility_213_hits_bound_at_target():
-    rep = dyn.fertility_max(pattern_set("213"), 5)
-    assert rep.max_count == catalan(4) == rep.bound
-    assert identity(5) in rep.witnesses
-
-
 def test_fertility_bound_guard():
     with pytest.raises(ValueError):
         dyn.fertility_max(pattern_set("3241"), 1)
@@ -384,30 +274,21 @@ def test_extremal_target_values():
             assert is_permutation(dyn.extremal_target(sigma, n))
 
 
-def test_extremal_family_matches_preimages():
-    for sigma in [(2, 1, 3), (2, 3, 1)]:
-        tset = pattern_set(sigma)
-        for n in range(3, 7):
-            fam = dyn.extremal_family(sigma, n)
-            assert len(fam) == catalan(n - 1)
-            assert fam == dyn.preimages(dyn.extremal_target(sigma, n), tset)
-
-
-def test_extremal_family_213_shape():
-    fam = dyn.extremal_family((2, 1, 3), 5)
-    assert fam == {(5,) + rho for rho in enumerate_avoiders(4, [(2, 3, 1)])}
+@pytest.mark.parametrize("n", range(3, 8))
+def test_extremal_family_213_shape(n):
+    # with the sharpness suite's preimages(target) == family, this gives the
+    # identity's preimages under {213}: n, then a 231-avoider
+    assert dyn.extremal_target((2, 1, 3), n) == identity(n)
+    fam = dyn.extremal_family((2, 1, 3), n)
+    assert fam == {(n,) + rho for rho in enumerate_avoiders(n - 1, [(2, 3, 1)])}
 
 
 # --- complement conjugation ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("tset", [T_MAIN, pattern_set("213"), pattern_set("21")])
-def test_complement_conjugation(tset):
-    for n in range(0, 6):
-        assert dyn.complement_conjugation_check(tset, n)
-
-
 def test_complement_conjugation_pointwise():
+    # the complement suite sweeps n >= 1; the empty word is checked here
+    assert all(dyn.complement_conjugation_check(t, 0) for t in COMPLEMENT_SETS)
     tset = pattern_set("123", "132")
     comp = tset.complemented()
     assert sorted(comp) == [(3, 1, 2), (3, 2, 1)]
@@ -435,22 +316,12 @@ def test_half_increasing_is_complement():
         assert dyn.is_half_increasing(p) == dyn.is_half_decreasing(complement(p))
 
 
-def test_half_decreasing_counts():
-    for n in range(1, 8):
-        count = sum(1 for p in enumerate_permutations(n) if dyn.is_half_decreasing(p))
-        assert count == factorial((n + 2) // 2)
-
-
 def test_half_decreasing_step():
     assert dyn.half_decreasing_step((2, 1, 3)) == (3, 1, 2)
     with pytest.raises(ValueError):
         dyn.half_decreasing_step((1, 2, 3))
     with pytest.raises(ValueError):
         dyn.half_decreasing_step((2, 1))
-    for n in range(3, 8):
-        for p in enumerate_permutations(n):
-            if dyn.is_half_decreasing(p):
-                assert dyn.half_decreasing_step(p) == sort(p, T_MAIN)
 
 
 def test_orbit_hand_case():
@@ -478,28 +349,6 @@ def test_orbit_invariants():
             assert rep.tail != ()
 
 
-def test_periodic_points_structure():
-    for n in range(1, 7):
-        pts = dyn.periodic_points(T_MAIN, n)
-        half = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
-        assert pts == half
-        cycles = dyn.orbit_partition(T_MAIN, n)
-        assert sum(len(c) for c in cycles) == len(pts)
-        assert len(cycles) == factorial(n // 2)
-        assert all(len(c) == (n + 2) // 2 for c in cycles)
-
-
-def test_periodic_points_n1():
-    assert dyn.periodic_points(T_MAIN, 1) == {(1,)}
-
-
-def test_half_increasing_periodic_points():
-    tset = pattern_set("312", "321")
-    for n in range(1, 7):
-        pts = dyn.periodic_points(tset, n)
-        assert pts == {p for p in enumerate_permutations(n) if dyn.is_half_increasing(p)}
-
-
 def test_image_size():
     assert dyn.image_size(pattern_set("123"), 3) == 5
     for n in range(1, 6):
@@ -508,11 +357,7 @@ def test_image_size():
 
 
 def test_trivial_periodic_points_only():
-    for n in range(1, 7):
-        ok, witness = dyn.trivial_periodic_points_only(pattern_set("132", "213"), n)
-        assert ok and witness is None
-        ok, witness = dyn.trivial_periodic_points_only(pattern_set("231", "213"), n)
-        assert ok and witness is None
+    assert dyn.trivial_periodic_points_only(pattern_set("132", "213"), 5) == (True, None)
     ok, witness = dyn.trivial_periodic_points_only(T_MAIN, 5)
     assert not ok
     assert dyn.is_half_decreasing(witness)

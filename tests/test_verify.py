@@ -1,5 +1,6 @@
-"""The named verification suites must pass at small sizes and report
-fine-grained checks."""
+"""How the verify suites report: the FAIL details each suite gives under
+injected faults, and the doctests.  The suites' claims themselves are
+gated in test_acceptance.py and, at --max-n 3, in test_cli.py."""
 
 import dataclasses
 import doctest
@@ -14,26 +15,7 @@ import permstack.textio
 import permstack.words
 from permstack import dynamics as dyn
 from permstack import verify
-
-
-@pytest.mark.parametrize("name", sorted(verify.SUITES))
-def test_suite_passes_small(name):
-    checks = verify.SUITES[name](4, 1)
-    assert checks, name
-    bad = [c for c in checks if not c.ok]
-    assert not bad, bad
-
-
-def test_run_suites_concatenates():
-    checks = verify.run_suites(["recursion", "complement"], 3, 1)
-    names = [c.name for c in checks]
-    assert any("recursion" in n for n in names)
-    assert any("complement" in n for n in names)
-
-
-def test_check_details_empty_on_pass():
-    for check in verify.suite_machine_catalan(3, 1):
-        assert check.ok and check.detail == ""
+from permstack.words import enumerate_permutations, identity
 
 
 _criterion = dyn.bijectivity_criterion
@@ -50,10 +32,19 @@ def _max_count(count):
 
 
 #: Faults, each a list of (module, attribute, replacement) patches.  Each
-#: breaks the claim of one suite, or one branch of the sharpness rule.
+#: breaks the claim of one suite, or one branch of the bound or sharpness
+#: rule.
 FAULTS = {
     "recursion-reversed": [(verify, "sort_recursive", lambda w, tset: w[::-1])],
     "criterion-negated": [(dyn, "bijectivity_criterion", lambda tset: not _criterion(tset))],
+    "preimage-map-over-bound": [  # with no agreement search, the bound alone fails
+        (verify, "AGREEMENT_CAP", 0),
+        (
+            dyn,
+            "preimage_map",
+            lambda tset, n, workers=1: {identity(n): set(enumerate_permutations(n))},
+        ),
+    ],
     "preimages-empty": [
         (dyn, "preimages", lambda gamma, tset: set()),
         (dyn, "extremal_family", lambda pattern, n: set()),
