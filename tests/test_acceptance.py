@@ -1,7 +1,10 @@
 """Acceptance gate: one test per headline claim, each at its stated size.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion.  Each claim is checked here and in no other test file.
+criterion.  Each claim is gated here at its stated size; three small-n
+sweeps elsewhere restate one: criterion 4 to n=5 in test_dynamics.py,
+criterion 5 to n=6 in test_machine.py, and every suite at --max-n 4 in
+test_verify.py.
 Criteria 3-7, 9, 10 and 12 are thin callers of the verify suite that
 states the claim (src/permstack/verify.py), so each is coded once; what a
 suite does not assert stays here as a direct line.  Criteria 1, 2, 8 and

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permstack import dynamics as dyn
 from permstack.machine import sort
-from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS
+from permstack.verify import COMPLEMENT_SETS, _small_pattern_sets
 from permstack.words import (
     catalan,
     complement,
@@ -28,10 +28,8 @@ S3 = list(itertools.permutations((1, 2, 3)))
 # --- sweeps -------------------------------------------------------------------
 
 
-# RECURSION_SETS: the recursion suite compares the sweep with sort_recursive
-# on these sets, so this comparison also checks sort itself against it
 @pytest.mark.parametrize(
-    "tset", [*RECURSION_SETS, pattern_set("213"), pattern_set("123", "2143")]
+    "tset", [T_MAIN, pattern_set("213"), pattern_set("21"), pattern_set("123", "2143")]
 )
 def test_sort_images_matches_pointwise(tset):
     for n in range(0, 8):
@@ -68,6 +66,13 @@ def test_verify_bijective_finds_known_collisions():
     table = dyn.preimage_map(pattern_set("21"), 3)
     assert table[(1, 2, 3)] == {(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)}
     assert table[(2, 1, 3)] == {(2, 3, 1)}
+
+
+@pytest.mark.parametrize("tset", _small_pattern_sets())
+def test_criterion_matches_exhaustive_sweep(tset):
+    crit = dyn.bijectivity_criterion(tset)
+    injective = all(dyn.verify_bijective(tset, n) is True for n in range(1, 6))
+    assert crit == injective
 
 
 def test_inverse_sort_round_trip():

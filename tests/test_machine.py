@@ -23,6 +23,7 @@ from permstack.machine import (
     sort_recursive,
     sort_with_trace,
 )
+from permstack.verify import RECURSION_SETS
 from permstack.words import (
     avoids_all,
     catalan,
@@ -369,6 +370,13 @@ def test_reduction_preserves_sorting():
 def test_sort_recursive_hand_case():
     assert sort_recursive((3, 2, 1), pattern_set("123")) == (2, 1, 3)
     assert sort_recursive((5, 2, 4, 1, 3), T_MAIN) == (4, 2, 3, 1, 5)
+
+
+@pytest.mark.parametrize("tset", RECURSION_SETS)
+def test_sort_matches_recursion_small(tset):
+    for n in range(0, 7):
+        for p in enumerate_permutations(n):
+            assert sort(p, tset) == sort_recursive(p, tset)
 
 
 def test_bottom_of_stack_law():
