@@ -8,9 +8,13 @@ desk scale: sweeps refuse n beyond words.MAX_ENUM_N.
 
 Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
-permutation separately (the tests compare the two).  Functions taking a
-``workers`` argument split the tree by first letter across processes and
-merge deterministically, so output never depends on the worker count.
+permutation separately (the tests compare the two).  From n = 6 up, the
+two-stage machine's counts (sort_count, and so the 15-pair table) come
+from a memoised walk over both stacks' states instead, which keeps no
+image; the sweep, machine_images, is its oracle in the tests.  Functions
+taking a ``workers`` argument split the tree by first letter across
+processes and merge deterministically, so output never depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     return images
 
 
-def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list[Word]:
+def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
     """Run subtree((tset, n, first)) for each first letter of S_n, over at
     most min(workers, n, CPUs) processes, and concatenate the parts in
     lexicographic input order."""
@@ -177,10 +181,82 @@ def machine_images(first: Word, second: Word, n: int, workers: int = 1) -> list[
     return _fan_out(_machine_subtree, pattern_set(first, second), n, workers)
 
 
+def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
+    """How many permutations starting with `first` the two-stage machine
+    sorts, as a one-element part for _fan_out."""
+    tset, n, first = args
+    one = _Stack(tset.patterns)
+    two = _Stack(CLASSICAL_STACK.patterns)
+    ones, twos = one.letters, two.letters
+    out1: list[int] = []  # stage 1's pops, each passed on to stage 2 at once
+    out2: list[int] = []  # always 1..m: a prefix that breaks this is dropped
+    used = [False] * (n + 1)
+    tails = [tuple(range(m + 1, n + 1)) for m in range(n + 1)]
+    memo: dict[tuple, int] = {}
+
+    def count(depth: int) -> int:
+        if depth == n:
+            # stage 1 drains into stage 2, which must give out m+1..n
+            return sort((*twos, *reversed(ones)), CLASSICAL_STACK) == tails[len(out2)]
+        # the letters used are 1..m and the stacks' letters, so this key
+        # fixes what is left to count
+        key = (len(out2), *ones, 0, *twos)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = 0
+        for x in range(1, n + 1):
+            if used[x]:
+                continue
+            popped = _enter(x, one, out1)
+            pops2 = []
+            for y in out1[len(out1) - popped :]:
+                pops2.append(_enter(y, two, out2))
+                if pops2[-1] and out2[-1] != len(out2):
+                    break
+            else:
+                used[x] = True
+                total += count(depth + 1)
+                used[x] = False
+            for k in reversed(pops2):
+                two.undo(k, out2)
+            one.undo(popped, out1)
+        memo[key] = total
+        return total
+
+    used[first] = True
+    _enter(first, one, out1)
+    return [count(1)]
+
+
+#: sort_count walks from this n up.  Below it too few states merge for the
+#: walk to pay: over all 15 pairs at n = 5 it takes about 1.25x the time of
+#: sorting the sweep's images, at n = 6 the two are even, and at n = 7 the
+#: walk takes half the time.
+WALK_MIN_N = 6
+
+
 def sort_count(first: Word, second: Word, n: int, workers: int = 1) -> int:
-    """How many permutations of S_n the two-stage machine sorts."""
-    target = identity(n)
-    return sum(1 for img in machine_images(first, second, n, workers) if img == target)
+    """How many permutations of S_n the two-stage machine sorts.
+
+    From n = WALK_MIN_N up, a depth-first walk over input prefixes that
+    runs both stacks: _enter pushes each letter into the first stack and
+    passes each of its pops at once into the classical stack, and
+    _Stack.undo backs out.  The classical stack pops in increasing order,
+    so a prefix is dropped as soon as it pops a letter other than the next
+    of 1, 2, ....  What is left to count depends only on how many letters
+    came out and on the two stacks' letters, so each such state is counted
+    once.  A complete prefix drains the first stack into the classical one
+    and is sorted when the rest comes out in order.  Below WALK_MIN_N it
+    counts the identity among machine_images, the walk's oracle in the
+    tests.
+
+    >>> sort_count((1, 2, 3), (3, 2, 1), 8)
+    112
+    """
+    if n < WALK_MIN_N:
+        return machine_images(first, second, n, workers).count(identity(n))
+    return sum(_fan_out(_subtree_count, pattern_set(first, second), n, workers))
 
 
 #: Previously reported counts for |sort_n| over all pairs of length-3

@@ -201,12 +201,15 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
         cycles = dyn.orbit_partition(tset, n, workers)
         points = {p for cycle in cycles for p in cycle}
         half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
-        ok = points == half_dec
         checks.append(
-            Check(
+            _check(
                 f"periodic set is half-decreasing set (n={n})",
-                ok,
-                "" if ok else f"{len(points)} periodic vs {len(half_dec)} half-decreasing",
+                (
+                    f"{format_word(p)} is periodic but not half-decreasing"
+                    if p in points
+                    else f"{format_word(p)} is half-decreasing but not periodic"
+                    for p in sorted(points ^ half_dec)
+                ),
             )
         )
         counts_ok = (

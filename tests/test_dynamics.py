@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permstack import dynamics as dyn
 from permstack.machine import sort
-from permstack.verify import COMPLEMENT_SETS, _small_pattern_sets
+from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS, _small_pattern_sets
 from permstack.words import (
     catalan,
     complement,
@@ -29,7 +29,9 @@ S3 = list(itertools.permutations((1, 2, 3)))
 
 
 @pytest.mark.parametrize(
-    "tset", [T_MAIN, pattern_set("213"), pattern_set("21"), pattern_set("123", "2143")]
+    "tset",
+    [T_MAIN, pattern_set("213"), pattern_set("21"), pattern_set("123", "2143")]
+    + [t for t in RECURSION_SETS if t not in (T_MAIN, pattern_set("21"))],
 )
 def test_sort_images_matches_pointwise(tset):
     for n in range(0, 8):
@@ -132,6 +134,27 @@ def test_machine_images_match_machine_sort():
             ], (first, second, n)
     pair = ((1, 2, 3), (2, 3, 1))
     assert dyn.machine_images(*pair, 7, workers=2) == dyn.machine_images(*pair, 7)
+
+
+def test_sort_count_matches_machine_images():
+    # the walk against its oracle, the sweep through both stacks, also
+    # below dyn.WALK_MIN_N where sort_count takes the sweep
+    for first, second in itertools.combinations(S3, 2):
+        tset = pattern_set(first, second)
+        for n in range(0, 8):
+            want = dyn.machine_images(first, second, n).count(identity(n))
+            assert dyn.sort_count(first, second, n) == want, (first, second, n)
+            if n:
+                walk = sum(dyn._fan_out(dyn._subtree_count, tset, n, 1))
+                assert walk == want, (first, second, n)
+
+
+def test_sort_count_row_at_eight():
+    # frozen from the walk, which agreed once with machine_images at n = 8
+    # for all 15 pairs
+    row = [dyn.sort_count(first, second, 8) for first, second in itertools.combinations(S3, 2)]
+    assert row == [1430, 1430, 5168, 2950, 112, 5882, 8558, 1430, 606, 12978, 5882, 4677,
+                   13254, 1430, 925]
 
 
 def test_build_sort_table_small_window():
@@ -379,6 +402,8 @@ def test_parallel_sweeps_match_serial():
     rep1 = dyn.fertility_max(pattern_set("213", "231"), 7)
     assert rep2 == rep1
     assert dyn.sort_count((1, 3, 2), (3, 1, 2), 7, workers=2) == catalan(7)
+    pair = ((1, 2, 3), (2, 3, 1))
+    assert dyn.sort_count(*pair, 7, workers=2) == dyn.sort_count(*pair, 7)
 
 
 def test_workers_clamped_to_jobs_and_cpus(monkeypatch):

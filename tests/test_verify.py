@@ -1,7 +1,6 @@
-"""How the verify suites report: each suite passes at --max-n 4, the FAIL
-details each suite gives under injected faults, and the doctests.  The
-suites' claims are gated at their stated size in test_acceptance.py and,
-at --max-n 3, in test_cli.py."""
+"""How the verify suites report: the FAIL details each suite gives under
+injected faults, and the doctests.  The suites' claims are gated at their
+stated size in test_acceptance.py and, at --max-n 3, in test_cli.py."""
 
 import dataclasses
 import doctest
@@ -17,14 +16,6 @@ import permstack.words
 from permstack import dynamics as dyn
 from permstack import verify
 from permstack.words import enumerate_permutations, identity
-
-
-@pytest.mark.parametrize("name", sorted(verify.SUITES))
-def test_suite_passes_small(name):
-    checks = verify.SUITES[name](4, 1)
-    assert checks, name
-    bad = [c for c in checks if not c.ok]
-    assert not bad, bad
 
 
 _criterion = dyn.bijectivity_criterion
