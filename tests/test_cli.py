@@ -292,3 +292,45 @@ def test_readme_cli_examples_run(capsys):
             assert out.splitlines()[0] == comment, argv
         ran += 1
     assert ran == 10
+
+
+#: A word past 9 letters, written in the bracket form.
+LONG = "[10,2,7,1,11,3,9,4,8,5,6]"
+
+#: Every command in every --format it takes, over a few pattern sets.
+EVERY_FORMAT_CALLS = [
+    (*call, *fmt)
+    for fmt in [(), ("--format", "json")]
+    for call in [
+        *(("sort", "--patterns", tset, "--perm", perm, *trace)
+          for tset, perm in [("123,132", "52413"), ("21", LONG), ("2134", LONG)]
+          for trace in [(), ("--trace",)]),
+        ("clump", "--patterns", "123,132", "--perm", "731426"),
+        ("clump", "--patterns", "21", "--perm", LONG),
+        ("clump", "--patterns", "123", "--perm", "312"),  # avoids: no clumping
+        ("preimages", "--patterns", "21", "--perm", "1,2,3,4"),
+        ("preimages", "--patterns", "123,132", "--perm", "4231"),
+        ("preimages", "--patterns", "213,231", "--perm", "[3,4,5,2,6,9,10,1,8,7]"),
+        ("orbit", "--patterns", "123,132", "--perm", "2,1,3"),
+        ("orbit", "--patterns", "2134", "--perm", LONG),
+        ("inverse", "--patterns", "132,312", "--perm", "41325"),
+        ("inverse", "--patterns", "132,312", "--perm", LONG),
+        ("fertility", "--patterns", "213,231", "--n", "5"),
+        ("fertility", "--patterns", "2134", "--n", "4"),
+        ("periodic", "--patterns", "123,132", "--n", "5"),
+        ("periodic", "--patterns", "21", "--n", "3"),
+        ("image", "--patterns", "123", "--n", "3"),
+        ("image", "--patterns", "213,231", "--n", "5"),
+        ("table", "--max-n", "4"),
+    ]
+] + [("table", "--max-n", "4", "--format", "csv")]
+
+
+def test_every_format_pinned(capsys):
+    transcript = []
+    for argv in EVERY_FORMAT_CALLS:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        transcript.append(f"$ permstack {shlex.join(argv)}\n{out}")
+    golden = Path(__file__).parent / "golden" / "cli_every_format.txt"
+    assert "".join(transcript) == golden.read_text()
