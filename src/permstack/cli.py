@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 
@@ -63,9 +62,17 @@ def _check_size(n: int) -> None:
         raise CliError(EXIT_CAP, f"n={n} exceeds the cap of {MAX_ENUM_N}")
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _fields(obj):
+    """The JSON form of what json cannot write itself: a set's members in
+    sorted order, and any other record's fields."""
+    if isinstance(obj, (frozenset, PatternSet)):
+        return sorted(obj)
+    return vars(obj)
+
+
+def _emit(args, payload, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload, default=_fields))
     else:
         print(text)
 
@@ -75,12 +82,12 @@ def cmd_sort(args) -> int:
     w = _word(args)
     if args.trace:
         out, steps, events = sort_with_trace(w, tset)
-        _emit(args, {"input": list(w), "output": list(out), "steps": steps}, format_word(out))
+        _emit(args, {"input": w, "output": out, "steps": steps}, format_word(out))
         for ev in events:
-            print(json.dumps(ev.as_dict()))
+            print(json.dumps(ev, default=_fields))
     else:
         out = sort(w, tset)
-        _emit(args, {"input": list(w), "output": list(out)}, format_word(out))
+        _emit(args, {"input": w, "output": out}, format_word(out))
     return 0
 
 
@@ -91,7 +98,7 @@ def cmd_inverse(args) -> int:
         out = dyn.inverse_sort(w, tset)
     except ValueError as exc:
         raise CliError(EXIT_PATTERNS, str(exc))
-    _emit(args, {"input": list(w), "output": list(out)}, format_word(out))
+    _emit(args, {"input": w, "output": out}, format_word(out))
     return 0
 
 
@@ -99,17 +106,14 @@ def cmd_clump(args) -> int:
     tset = _patterns(args)
     w = _word(args)
     c = clumping(w, tset)
-    if c is None:
-        _emit(args, {"clumping": None}, "none")
-        return 0
-    text = "\n".join(
+    text = "none" if c is None else "\n".join(
         [
             "segments: " + " ".join(format_word(s) for s in c.segments),
             "witness_pattern: " + format_word(c.witness_pattern),
             "witness_indices: " + ",".join(str(i) for i in c.witness_indices),
         ]
     )
-    _emit(args, {"clumping": c.as_dict()}, text)
+    _emit(args, {"clumping": c}, text)
     return 0
 
 
@@ -121,13 +125,8 @@ def cmd_preimages(args) -> int:
         pre = sorted(dyn.preimages(gamma, tset))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc))
-    payload = {
-        "target": list(gamma),
-        "count": len(pre),
-        "preimages": [list(p) for p in pre],
-    }
     text = "\n".join([f"count: {len(pre)}"] + [format_word(p) for p in pre])
-    _emit(args, payload, text)
+    _emit(args, {"target": gamma, "count": len(pre), "preimages": pre}, text)
     return 0
 
 
@@ -146,7 +145,7 @@ def cmd_fertility(args) -> int:
             "witnesses: " + " ".join(format_word(w) for w in sorted(rep.witnesses)),
         ]
     )
-    _emit(args, rep.as_dict(), text)
+    _emit(args, rep, text)
     return 0
 
 
@@ -166,7 +165,7 @@ def cmd_orbit(args) -> int:
             f"cycle_length: {rep.cycle_length}",
         ]
     )
-    _emit(args, rep.as_dict(), text)
+    _emit(args, {**vars(rep), "cycle_length": rep.cycle_length}, text)
     return 0
 
 
@@ -175,14 +174,9 @@ def cmd_periodic(args) -> int:
     _check_size(args.n)
     cycles = dyn.orbit_partition(tset, args.n, args.parallel)
     count = sum(len(c) for c in cycles)
-    payload = {
-        "n": args.n,
-        "periodic_count": count,
-        "cycles": [[list(p) for p in c] for c in cycles],
-    }
     lines = [f"periodic_count: {count}"]
     lines += ["cycle: " + " ".join(format_word(p) for p in c) for c in cycles]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, {"n": args.n, "periodic_count": count, "cycles": cycles}, "\n".join(lines))
     return 0
 
 
@@ -197,27 +191,28 @@ def cmd_image(args) -> int:
 def cmd_table(args) -> int:
     _check_size(args.max_n)
     table = dyn.build_sort_table(args.max_n, args.parallel)
-    if args.format == "json":
-        print(json.dumps(table.as_dict()))
-        return 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             ["sigma", "tau"] + [f"n{i}" for i in range(1, args.max_n + 1)] + ["catalan", "note"]
         )
-        for row in table.rows:
-            writer.writerow(
-                [format_word(row.sigma), format_word(row.tau)]
-                + list(row.counts)
-                + [str(row.is_catalan).lower(), row.note]
-            )
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(
+            [format_word(row.sigma), format_word(row.tau), *row.counts,
+             str(row.is_catalan).lower(), row.note]
+            for row in table.rows
+        )
         return 0
+    rows = [
+        {"sigma": row.sigma, "tau": row.tau, "counts": row.counts, "catalan": row.is_catalan,
+         "reference": row.reference, "note": row.note}
+        for row in table.rows
+    ]
+    lines = []
     for row in table.rows:
         counts = " ".join(f"{c:>6}" for c in row.counts)
         mark = f"catalan={str(row.is_catalan).lower()}"
-        print(f"({format_word(row.sigma)},{format_word(row.tau)})  {counts}  {mark:<14} {row.note}")
+        lines.append(f"({format_word(row.sigma)},{format_word(row.tau)})  {counts}  {mark:<14} {row.note}")
+    _emit(args, {"max_n": table.max_n, "rows": rows}, "\n".join(lines))
     return 0
 
 

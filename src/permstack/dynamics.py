@@ -165,12 +165,6 @@ def inverse_sort(p: Word, tset: PatternSet) -> Word:
 # the two-stage machine
 
 
-def machine_sort(w: Word, first: Word, second: Word) -> Word:
-    """Send w through the stack avoiding {first, second}, then through the
-    classical stack."""
-    return sort(sort(w, pattern_set(first, second)), CLASSICAL_STACK)
-
-
 def _machine_subtree(args: tuple[PatternSet, int, int]) -> list[Word]:
     tset, n, start = args
     return [sort(img, CLASSICAL_STACK) for img in _subtree_images((tset, n, start))]
@@ -293,24 +287,11 @@ class SortTableRow:
     reference: tuple[tuple[int, ...], ...]
     note: str
 
-    def as_dict(self) -> dict:
-        return {
-            "sigma": list(self.sigma),
-            "tau": list(self.tau),
-            "counts": list(self.counts),
-            "catalan": self.is_catalan,
-            "reference": [list(r) for r in self.reference],
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class SortTable:
     max_n: int
     rows: tuple[SortTableRow, ...]
-
-    def as_dict(self) -> dict:
-        return {"max_n": self.max_n, "rows": [r.as_dict() for r in self.rows]}
 
 
 def _reference_note(counts: tuple[int, ...], refs, max_n: int) -> str:
@@ -455,17 +436,8 @@ class FertilityReport:
     patterns: PatternSet
     n: int
     max_count: int
-    witnesses: frozenset[Word]
     bound: int
-
-    def as_dict(self) -> dict:
-        return {
-            "patterns": [list(p) for p in self.patterns],
-            "n": self.n,
-            "max_count": self.max_count,
-            "bound": self.bound,
-            "witnesses": [list(w) for w in sorted(self.witnesses)],
-        }
+    witnesses: frozenset[Word]
 
 
 def fertility_max(tset: PatternSet, n: int, workers: int = 1) -> FertilityReport:
@@ -478,7 +450,7 @@ def fertility_max(tset: PatternSet, n: int, workers: int = 1) -> FertilityReport
     counts = Counter(sort_images(tset, n, workers))
     top = max(counts.values())
     witnesses = frozenset(g for g, c in counts.items() if c == top)
-    return FertilityReport(tset, n, top, witnesses, catalan(n - k + 2))
+    return FertilityReport(tset, n, top, catalan(n - k + 2), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +558,6 @@ class OrbitReport:
     @property
     def cycle_length(self) -> int:
         return len(self.cycle)
-
-    def as_dict(self) -> dict:
-        return {
-            "start": list(self.start),
-            "tail": [list(w) for w in self.tail],
-            "cycle": [list(w) for w in self.cycle],
-            "cycle_length": self.cycle_length,
-        }
 
 
 def orbit(p: Word, tset: PatternSet) -> OrbitReport:

@@ -178,14 +178,6 @@ class TraceEvent:
     stack: Word   # top to bottom
     output: Word  # output so far
 
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "letter": self.letter,
-            "stack": list(self.stack),
-            "output": list(self.output),
-        }
-
 
 def sort_with_trace(
     w: Word, tset: PatternSet
@@ -230,13 +222,6 @@ class Clumping:
     segments: tuple[Word, ...]
     witness_pattern: Word
     witness_indices: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "segments": [list(s) for s in self.segments],
-            "witness_pattern": list(self.witness_pattern),
-            "witness_indices": list(self.witness_indices),
-        }
 
 
 def clumping(w: Word, tset: PatternSet) -> Clumping | None:

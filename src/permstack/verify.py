@@ -218,10 +218,9 @@ def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
             and all(len(c) == cycle_len for c in cycles)
         )
         checks.append(
-            Check(
+            _check(
                 f"cycle sizes and counts (n={n})",
-                counts_ok,
-                "" if counts_ok else f"{len(cycles)} cycles of sizes {sorted(set(map(len, cycles)))}",
+                [] if counts_ok else [f"{len(cycles)} cycles of sizes {sorted(set(map(len, cycles)))}"],
             )
         )
         if n >= 3:
@@ -276,17 +275,15 @@ MACHINE_CATALAN_PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 def suite_machine_catalan(max_n: int = 6, workers: int = 1) -> list[Check]:
     """Pair a pattern with its first-two swap and the two-stage machine
     sorts exactly catalan(n) permutations to the identity."""
+    expected = [catalan(n) for n in range(1, max_n + 1)]
     checks = []
     for p in MACHINE_CATALAN_PATTERNS:
         q = (p[1], p[0]) + p[2:]
         counts = [dyn.sort_count(p, q, n, workers) for n in range(1, max_n + 1)]
-        expected = [catalan(n) for n in range(1, max_n + 1)]
-        ok = counts == expected
         checks.append(
-            Check(
+            _check(
                 f"machine catalan counts ({format_word(p)},{format_word(q)}) n<={max_n}",
-                ok,
-                "" if ok else f"got {counts}, expected {expected}",
+                [] if counts == expected else [f"got {counts}, expected {expected}"],
             )
         )
     return checks

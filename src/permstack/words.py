@@ -43,29 +43,6 @@ def is_permutation(w: Word) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 
 
-def pattern_of(w: Word) -> Word:
-    """Rank the letters of w to 1..u, keeping ties equal.
-
-    Two words are order isomorphic exactly when their patterns agree.
-
-    >>> pattern_of((2, 5, 3))
-    (1, 3, 2)
-    >>> pattern_of((4, 4, 9))
-    (1, 1, 2)
-    """
-    rank = {v: i + 1 for i, v in enumerate(sorted(set(w)))}
-    return tuple(rank[x] for x in w)
-
-
-def order_isomorphic(u: Word, v: Word) -> bool:
-    """True when u and v have the same length and identical order relations.
-
-    Equal letters match neither < nor >, so (1, 1) and (1, 2) are not
-    order isomorphic.
-    """
-    return len(u) == len(v) and pattern_of(u) == pattern_of(v)
-
-
 @lru_cache(maxsize=4096)
 def _tightest_bounds(p: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # For each position t: the earlier position holding the closest letter

@@ -1,10 +1,14 @@
 """Brute-force oracles the tests compare the library with.
 
-Each is a straight transcription of a definition, written once and sharing
-no code with permstack.
+Each is a straight transcription of a definition, written once.  Only
+machine_sort calls into permstack, for its first stage, the pattern stack
+that naive_sort checks.
 """
 
 import itertools
+
+from permstack.machine import sort
+from permstack.words import pattern_set
 
 
 def isomorphic(u, v):
@@ -17,6 +21,13 @@ def isomorphic(u, v):
         for i in idx
         for j in idx
     )
+
+
+def pattern_of(w):
+    # rank the letters to 1..u, ties kept equal: two words are order
+    # isomorphic exactly when their patterns agree
+    rank = {v: i + 1 for i, v in enumerate(sorted(set(w)))}
+    return tuple(rank[x] for x in w)
 
 
 def contains(w, p):
@@ -47,6 +58,24 @@ def naive_trace(w, patterns):
 def naive_sort(w, patterns):
     events = naive_trace(w, patterns)
     return events[-1][3] if events else ()
+
+
+def textbook_stack_sort(w):
+    # the classical stack: pop while the top is smaller than the incoming
+    # letter, then push; drain at the end
+    out, stack = [], []
+    for x in w:
+        while stack and stack[-1] < x:
+            out.append(stack.pop())
+        stack.append(x)
+    out.extend(reversed(stack))
+    return tuple(out)
+
+
+def machine_sort(w, first, second):
+    # the two-stage machine: the stack avoiding {first, second}, then the
+    # classical stack
+    return textbook_stack_sort(sort(w, pattern_set(first, second)))
 
 
 def naive_machine_count(first, second, n):

@@ -6,10 +6,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_sort, naive_trace
+from oracles import naive_sort, naive_trace, pattern_of, textbook_stack_sort
 from permstack import machine
 from permstack.dynamics import sort_images
 from permstack.machine import (
+    TraceEvent,
     _can_push,
     _enter,
     _Stack,
@@ -23,32 +24,18 @@ from permstack.machine import (
     sort_recursive,
     sort_with_trace,
 )
-from permstack.verify import RECURSION_SETS
 from permstack.words import (
     avoids_all,
     catalan,
     contains,
     enumerate_permutations,
     occurrences,
-    pattern_of,
     pattern_set,
     reverse,
 )
 
 T_MAIN = pattern_set("123", "132")
 CLASSICAL = pattern_set("21")
-
-
-def textbook_stack_sort(w):
-    # independent classical implementation: pop while the top is smaller
-    # than the incoming letter, then push; drain at the end
-    out, stack = [], []
-    for x in w:
-        while stack and stack[-1] < x:
-            out.append(stack.pop())
-        stack.append(x)
-    out.extend(reversed(stack))
-    return tuple(out)
 
 
 def test_sort_hand_traces():
@@ -79,7 +66,7 @@ def test_trace_figure_steps():
     assert out == (1, 2, 3)
     assert steps == "NXNNXX"
     assert len(events) == 6
-    assert events[0].as_dict() == {"step": "N", "letter": 1, "stack": [1], "output": []}
+    assert events[0] == TraceEvent("N", 1, (1,), ())
     assert events[-1].stack == ()
     assert events[-1].output == (1, 2, 3)
 
@@ -370,13 +357,6 @@ def test_reduction_preserves_sorting():
 def test_sort_recursive_hand_case():
     assert sort_recursive((3, 2, 1), pattern_set("123")) == (2, 1, 3)
     assert sort_recursive((5, 2, 4, 1, 3), T_MAIN) == (4, 2, 3, 1, 5)
-
-
-@pytest.mark.parametrize("tset", RECURSION_SETS)
-def test_sort_matches_recursion_small(tset):
-    for n in range(0, 7):
-        for p in enumerate_permutations(n):
-            assert sort(p, tset) == sort_recursive(p, tset)
 
 
 def test_bottom_of_stack_law():

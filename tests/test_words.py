@@ -17,8 +17,6 @@ from permstack.words import (
     identity,
     is_permutation,
     occurrences,
-    order_isomorphic,
-    pattern_of,
     pattern_set,
     reduce_patterns,
     reverse,
@@ -31,27 +29,6 @@ S2 = list(itertools.permutations((1, 2)))
 
 
 words4 = [w for w in itertools.product((1, 2, 3, 4), repeat=4)]
-
-
-def test_order_isomorphic_examples():
-    assert order_isomorphic((2, 5, 3), (1, 3, 2))
-    assert not order_isomorphic((1, 1), (1, 2))
-    assert order_isomorphic((4, 2, 1), (3, 2, 1))
-
-
-def test_order_isomorphic_matches_pairwise_oracle():
-    for u in words4:
-        for v in words4:
-            assert order_isomorphic(u, v) == oracles.isomorphic(u, v)
-
-
-def test_order_isomorphic_is_an_equivalence():
-    # reflexive; and grouping by pattern_of realizes the full relation,
-    # which gives symmetry and transitivity for free
-    for u in words4:
-        assert order_isomorphic(u, u)
-        for v in words4:
-            assert order_isomorphic(u, v) == (pattern_of(u) == pattern_of(v))
 
 
 def test_contains_examples():
