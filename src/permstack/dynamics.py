@@ -8,7 +8,11 @@ desk scale: sweeps refuse n beyond words.MAX_ENUM_N.
 
 Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
-permutation separately (the tests compare the two).  From n = 6 up, the
+permutation separately (the tests compare the two).  Below a node, what
+the machine outputs depends only on the letters still to enter and the
+stack's letters, so a sweep walks each such subtree once per first letter
+and copies its images, behind the current output, wherever it recurs; it
+does so from MEMO_MIN_LEFT letters left up.  From n = 6 up, the
 two-stage machine's counts (sort_count, and so the 15-pair table) come
 from a memoised walk over both stacks' states instead, which keeps no
 image; the sweep, machine_images, is its oracle in the tests.  Functions
@@ -60,34 +64,68 @@ LENGTH3_PATTERNS = tuple(itertools.permutations((1, 2, 3)))
 # exhaustive sweeps
 
 
+#: The sweep looks a subtree up in its memo only while at least this many
+#: letters are left to enter.  Measured on a 2-vCPU guest against two and
+#: four.  At four the memo loses half its gain: sort_images({21}, 8) took
+#: 0.73 of the time without the memo, against 0.46 at three.  At two
+#: the sweep benchmark ran 7% faster than at three, but the verify
+#: benchmark ran 3.5% slower: its sharpness suite sweeps single length-4
+#: patterns, whose deep stacks rarely repeat a subtree, so there the
+#: lookups cost more than the copies save.
+MEMO_MIN_LEFT = 3
+
+
 def _extend_images(
-    n: int,
-    used: list[bool],
+    rest: int,
     stack: _Stack,
     out: list[int],
     images: list[Word],
+    memo: dict[tuple, tuple[int, int]],
 ) -> None:
-    if len(out) + len(stack.letters) == n:
-        images.append(tuple(out) + tuple(reversed(stack.letters)))
+    """Append the images of every completion of the current input prefix,
+    in lexicographic order; bit x of `rest` is set while x has not entered.
+
+    What comes out after `out` depends only on the letters left and the
+    stack's letters: those fix every frame's push-table state, and so every
+    later step.  So while MEMO_MIN_LEFT or more letters are left, memo maps
+    (rest, stack letters) to the slice of images its first walk appended,
+    and a repeat copies that slice behind its own output instead of
+    walking.  The key also fixes len(out), so every image in the slice
+    carries the repeat's part of the output past that length.
+    """
+    letters = stack.letters
+    if not rest:
+        images.append((*out, *reversed(letters)))
         return
-    for x in range(1, n + 1):
-        if used[x]:
-            continue
-        used[x] = True
-        popped = _enter(x, stack, out)
-        _extend_images(n, used, stack, out, images)
+    key = None
+    if rest.bit_count() >= MEMO_MIN_LEFT:
+        key = (rest, *letters)
+        seen = memo.get(key)
+        if seen is not None:
+            head, k = tuple(out), len(out)
+            images.extend([head + img[k:] for img in images[seen[0] : seen[1]]])
+            return
+    start = len(images)
+    left = rest
+    while left:
+        bit = left & -left  # the least letter left, so inputs stay in order
+        left ^= bit
+        popped = _enter(bit.bit_length() - 1, stack, out)
+        _extend_images(rest ^ bit, stack, out, images, memo)
         stack.undo(popped, out)
-        used[x] = False
+    if key is not None:
+        memo[key] = (start, len(images))
 
 
 def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     tset, n, first = args
-    used = [False] * (n + 1)
-    used[first] = True
     stack = _Stack(tset.patterns)
     images: list[Word] = []
     _enter(first, stack, [])
-    _extend_images(n, used, stack, [], images)
+    rest = (1 << (n + 1)) - 2  # bits 1..n
+    # the memo lives for this one first letter, so no part depends on how
+    # the jobs are split over workers
+    _extend_images(rest ^ (1 << first), stack, [], images, {})
     return images
 
 

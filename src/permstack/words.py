@@ -15,6 +15,7 @@ call concurrently or from worker processes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -110,7 +111,35 @@ def contains(w: Word, p: Word, anchored: bool = False) -> bool:
     >>> contains((4, 5, 3, 1, 2), (1, 3, 2))
     False
     """
-    return next(occurrences(w, p, anchored), None) is not None
+    # occurrences' depth-first search, stopping at the first match: each
+    # level keeps the letters chosen so far and admits a letter strictly
+    # between its two tightest bounds
+    m, n = len(p), len(w)
+    if m == 0:
+        return True
+    if n < m:
+        return False
+    lo, hi = _tightest_bounds(p)
+    chosen = [0] * m
+
+    def extend(t: int, start: int) -> bool:
+        low = chosen[lo[t]] if lo[t] >= 0 else -math.inf
+        high = chosen[hi[t]] if hi[t] >= 0 else math.inf
+        last = t + 1 == m
+        for i in range(start, n - m + t + 1):
+            x = w[i]
+            if low < x < high:
+                if last:
+                    return True
+                chosen[t] = x
+                if extend(t + 1, i + 1):
+                    return True
+        return False
+
+    if not anchored:
+        return extend(0, 0)
+    chosen[0] = w[0]  # p's first letter has no bound to meet
+    return m == 1 or extend(1, 1)
 
 
 def avoids(w: Word, p: Word) -> bool:

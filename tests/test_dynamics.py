@@ -39,6 +39,13 @@ def test_sort_images_matches_pointwise(tset):
         assert dyn.sort_images(tset, n) == [sort(p, tset) for p in enumerate_permutations(n)]
 
 
+@pytest.mark.parametrize("tset", [pattern_set("21"), pattern_set("132", "312")])
+def test_sort_images_matches_pointwise_at_8(tset):
+    # n = 8 is where the sweep's memo copies the most subtrees
+    images = [sort(p, tset) for p in enumerate_permutations(8)]
+    assert dyn.sort_images(tset, 8) == images
+
+
 def test_sort_images_guard():
     with pytest.raises(ValueError):
         dyn.sort_images(T_MAIN, 13)
@@ -397,8 +404,9 @@ def test_trivial_periodic_points_only():
 
 
 def test_parallel_sweeps_match_serial():
-    imgs = dyn.sort_images(T_MAIN, 7, workers=2)
-    assert imgs == dyn.sort_images(T_MAIN, 7)
+    # n = 8, where each worker's sweep memo sees only its own first letters
+    imgs = dyn.sort_images(T_MAIN, 8, workers=2)
+    assert imgs == dyn.sort_images(T_MAIN, 8)
     rep2 = dyn.fertility_max(pattern_set("213", "231"), 7, workers=2)
     rep1 = dyn.fertility_max(pattern_set("213", "231"), 7)
     assert rep2 == rep1

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import naive_sort, naive_trace, pattern_of, textbook_stack_sort
 from permstack import machine
-from permstack.dynamics import sort_images
+from permstack.dynamics import MEMO_MIN_LEFT, sort_images
 from permstack.machine import (
     TraceEvent,
     _can_push,
@@ -219,20 +219,30 @@ def test_state_budget_reset_keeps_outputs(monkeypatch):
 
 def classical_sweep_push_tests(n):
     # the prefix tree of S_n replayed on a plain list stack: each entered
-    # letter costs one test per pop it forces plus the test that admits it
+    # letter costs one test per pop it forces plus the test that admits it.
+    # Like the sweep, each first letter's subtree keeps a memo, and a
+    # (letters left, stack) seen before with MEMO_MIN_LEFT or more letters
+    # left is not walked again, so it costs no test
     tests = 0
 
-    def walk(rest, stack):
+    def walk(rest, stack, seen):
         nonlocal tests
-        for x in rest:
+        if len(rest) >= MEMO_MIN_LEFT:
+            key = (rest, tuple(stack))
+            if key in seen:
+                return
+            seen.add(key)
+        for x in sorted(rest):
             below = list(stack)
             while below and below[-1] < x:
                 below.pop()
                 tests += 1
             tests += 1
-            walk(rest - {x}, below + [x])
+            walk(rest - {x}, below + [x], seen)
 
-    walk(frozenset(range(1, n + 1)), [])
+    for first in range(1, n + 1):
+        tests += 1
+        walk(frozenset(range(1, n + 1)) - {first}, [first], set())
     return tests
 
 

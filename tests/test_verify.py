@@ -1,18 +1,13 @@
 """How the verify suites report: the FAIL details each suite gives under
-injected faults, and the doctests.  The suites' claims are gated at their
-stated size in test_acceptance.py and, at --max-n 3, in test_cli.py."""
+injected faults.  The suites' claims are gated at their stated size in
+test_acceptance.py and, at --max-n 3, in test_cli.py."""
 
 import dataclasses
-import doctest
 import json
 from pathlib import Path
 
 import pytest
 
-import permstack.dynamics
-import permstack.machine
-import permstack.textio
-import permstack.words
 from permstack import dynamics as dyn
 from permstack import verify
 from permstack.words import enumerate_permutations, identity
@@ -77,15 +72,3 @@ def test_failure_details_pinned(monkeypatch, fault):
     failed = [[c.name, c.detail] for c in checks if not c.ok]
     pinned = Path(__file__).parent / "golden" / "verify_faults_max_n_4.json"
     assert failed == json.loads(pinned.read_text())[fault]
-
-
-@pytest.mark.parametrize(
-    "module",
-    [permstack.words, permstack.machine, permstack.dynamics, permstack.textio, "README.md"],
-)
-def test_doctests(module):
-    if isinstance(module, str):  # a text file at the repository root
-        failures, _ = doctest.testfile(f"../{module}")
-    else:
-        failures, _ = doctest.testmod(module)
-    assert failures == 0

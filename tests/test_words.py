@@ -79,6 +79,18 @@ def test_anchored_occurrences_are_those_at_index_zero():
                 assert contains(w, p, anchored=True) == bool(at_zero)
 
 
+@given(
+    st.lists(st.integers(1, 6), max_size=12),
+    st.integers(1, 5).flatmap(lambda m: st.permutations(range(1, m + 1))),
+    st.booleans(),
+)
+def test_contains_agrees_with_occurrences(w, p, anchored):
+    # contains stops at the first match of the same search occurrences runs
+    w, p = tuple(w), tuple(p)
+    expected = next(occurrences(w, p, anchored), None) is not None
+    assert contains(w, p, anchored) == expected
+
+
 def test_avoids_all():
     assert avoids_all((3, 1, 2), [(1, 2, 3), (1, 3, 2)])
     assert not avoids_all((1, 4, 2, 5), [(1, 3, 2)])
