@@ -8,17 +8,20 @@ desk scale: sweeps refuse n beyond words.MAX_ENUM_N.
 
 Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
-permutation separately (the tests compare the two).  Below a node, what
-the machine outputs depends only on the letters still to enter and the
-stack's letters, so a sweep walks each such subtree once per first letter
-and copies its images, behind the current output, wherever it recurs; it
-does so from MEMO_MIN_LEFT letters left up.  From n = 6 up, the
-two-stage machine's counts (sort_count, and so the 15-pair table) come
-from a memoised walk over both stacks' states instead, which keeps no
-image; the sweep, machine_images, is its oracle in the tests.  Functions
-taking a ``workers`` argument split the tree by first letter across
-processes and merge deterministically, so output never depends on the
-worker count.
+permutation separately (the tests compare the two).  The stack compares
+letters only by < and >, so below a node what the machine outputs depends
+only on the order pattern of the letters not yet out: how many are still
+to enter, and where the stack's letters rank among them.  A sweep walks
+each such subtree once per first letter and copies its images, relabelled
+onto the letters at hand and behind the current output, wherever the
+pattern recurs; it does so from MEMO_MIN_LEFT letters left up.  From
+n = WALK_MIN_N up, the two-stage machine's counts (sort_count, and so the
+15-pair table) come from a memoised walk over both stacks' states instead,
+which keeps no image, and whose second stage, the classical stack, is a
+plain list; the sweep, machine_images, is its oracle in the tests.
+Functions taking a ``workers`` argument split the tree by first letter
+across processes and merge deterministically, so output never depends on
+the worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 
 from .machine import (
     _enter,
@@ -65,56 +69,99 @@ LENGTH3_PATTERNS = tuple(itertools.permutations((1, 2, 3)))
 
 
 #: The sweep looks a subtree up in its memo only while at least this many
-#: letters are left to enter.  Measured on a 2-vCPU guest against two and
-#: four.  At four the memo loses half its gain: sort_images({21}, 8) took
-#: 0.73 of the time without the memo, against 0.46 at three.  At two
-#: the sweep benchmark ran 7% faster than at three, but the verify
-#: benchmark ran 3.5% slower: its sharpness suite sweeps single length-4
-#: patterns, whose deep stacks rarely repeat a subtree, so there the
-#: lookups cost more than the copies save.
+#: letters are left to enter.  Measured on a 2-vCPU guest against the
+#: memo keyed by exact letters at three, interleaved in one process
+#: (median of 9).  At three, sort_images at n = 8 took 0.51x for {21},
+#: 0.64x for {123,132} and 0.54x for {132,312}; single length-4 patterns
+#: at n = 7-8, whose calls last 25-270 ms, took 0.89-1.15x, about this
+#: guest's run-to-run noise.  At four the first three took 0.67x, 0.86x
+#: and 0.94x.  At two they took 0.45x, 0.61x and 0.50x, but the length-4
+#: patterns took 1.07-1.19x: their deep stacks rarely repeat a pattern, so
+#: there the lookups cost more than the copies save.
 MEMO_MIN_LEFT = 3
+
+
+def _copy_images(
+    seen: tuple[int, int, int], alive: int, out: list[int], images: list[Word]
+) -> None:
+    """Append images[start:end] again, seen being (start, end, was), with
+    `out` in place of the output they start with and the letters of `was`,
+    the alive letters then, carried in order onto those of `alive`."""
+    start, end, was = seen
+    k = len(out)
+    if was == alive:
+        head = tuple(out)
+        images.extend([head + img[k:] for img in images[start:end]])
+        return
+    first = images[start]
+    tr = [0] * (len(first) + 1)
+    for x, y in zip(first, out):  # the output they start with
+        tr[x] = y
+    while was:
+        x, y = was & -was, alive & -alive
+        tr[x.bit_length() - 1] = y.bit_length() - 1
+        was ^= x
+        alive ^= y
+    # images here have at least MEMO_MIN_LEFT letters, so itemgetter gives
+    # a tuple
+    images.extend([itemgetter(*img)(tr) for img in images[start:end]])
 
 
 def _extend_images(
     rest: int,
+    alive: int,
     stack: _Stack,
     out: list[int],
     images: list[Word],
-    memo: dict[tuple, tuple[int, int]],
+    memo: dict[tuple, tuple[int, int, int]],
 ) -> None:
     """Append the images of every completion of the current input prefix,
-    in lexicographic order; bit x of `rest` is set while x has not entered.
+    in lexicographic order; bit x of `rest` is set while x has not entered,
+    and bit x of `alive` while x has not come out (kept only where the memo
+    reads it).
 
-    What comes out after `out` depends only on the letters left and the
-    stack's letters: those fix every frame's push-table state, and so every
-    later step.  So while MEMO_MIN_LEFT or more letters are left, memo maps
-    (rest, stack letters) to the slice of images its first walk appended,
+    The stack compares letters only by < and >, so what comes out after
+    `out` depends only on the order pattern of the alive letters: how many
+    are left to enter, and the rank of each stack letter among them.  Those
+    fix every frame's push-table state, and so every later step.  So while
+    MEMO_MIN_LEFT or more letters are left, memo maps that pattern to the
+    slice of images its first walk appended and to the alive letters then,
     and a repeat copies that slice behind its own output instead of
-    walking.  The key also fixes len(out), so every image in the slice
-    carries the repeat's part of the output past that length.
+    walking, each image's tail carried over by the order-preserving map
+    from those alive letters onto its own (the identity when they are the
+    same).  The map keeps the order in which the walk enters letters, least
+    first, so the copies stay in input order; and the key fixes len(out),
+    so every image in the slice carries the repeat's part of the output
+    past that length.
     """
     letters = stack.letters
     if not rest:
         images.append((*out, *reversed(letters)))
         return
     key = None
-    if rest.bit_count() >= MEMO_MIN_LEFT:
-        key = (rest, *letters)
+    count = rest.bit_count()
+    if count >= MEMO_MIN_LEFT:
+        # each stack letter's rank among the alive letters, from the top
+        key = (count, *[(alive >> y).bit_count() for y in letters])
         seen = memo.get(key)
         if seen is not None:
-            head, k = tuple(out), len(out)
-            images.extend([head + img[k:] for img in images[seen[0] : seen[1]]])
+            _copy_images(seen, alive, out, images)
             return
     start = len(images)
+    track = count > MEMO_MIN_LEFT  # only the memo reads alive
     left = rest
     while left:
         bit = left & -left  # the least letter left, so inputs stay in order
         left ^= bit
         popped = _enter(bit.bit_length() - 1, stack, out)
-        _extend_images(rest ^ bit, stack, out, images, memo)
+        after = alive
+        if popped and track:
+            for y in out[len(out) - popped :]:
+                after ^= 1 << y
+        _extend_images(rest ^ bit, after, stack, out, images, memo)
         stack.undo(popped, out)
     if key is not None:
-        memo[key] = (start, len(images))
+        memo[key] = (start, len(images), alive)
 
 
 def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
@@ -122,10 +169,10 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     stack = _Stack(tset.patterns)
     images: list[Word] = []
     _enter(first, stack, [])
-    rest = (1 << (n + 1)) - 2  # bits 1..n
+    alive = (1 << (n + 1)) - 2  # bits 1..n
     # the memo lives for this one first letter, so no part depends on how
     # the jobs are split over workers
-    _extend_images(rest ^ (1 << first), stack, [], images, {})
+    _extend_images(alive ^ (1 << first), alive, stack, [], images, {})
     return images
 
 
@@ -213,26 +260,39 @@ def machine_images(first: Word, second: Word, n: int, workers: int = 1) -> list[
     return _fan_out(_machine_subtree, pattern_set(first, second), n, workers)
 
 
+def _feed(ys, two: list[int], m: int) -> int:
+    """Pass letters ys into the classical stack `two`, after m letters have
+    come out of it: pop while the top is below the incoming letter, then
+    push.  Return how many letters have come out, or -1 as soon as one is
+    not the next of 1, 2, ...."""
+    for y in ys:
+        while two and two[-1] < y:
+            m += 1
+            if two.pop() != m:
+                return -1
+        two.append(y)
+    return m
+
+
 def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
     """How many permutations starting with `first` the two-stage machine
     sorts, as a one-element part for _fan_out."""
     tset, n, first = args
     one = _Stack(tset.patterns)
-    two = _Stack(CLASSICAL_STACK.patterns)
-    ones, twos = one.letters, two.letters
+    ones = one.letters
     out1: list[int] = []  # stage 1's pops, each passed on to stage 2 at once
-    out2: list[int] = []  # always 1..m: a prefix that breaks this is dropped
     used = [False] * (n + 1)
-    tails = [tuple(range(m + 1, n + 1)) for m in range(n + 1)]
     memo: dict[tuple, int] = {}
 
-    def count(depth: int) -> int:
+    def count(depth: int, two: list[int], m: int) -> int:
+        # stage 2 holds `two` and has given out 1..m
         if depth == n:
-            # stage 1 drains into stage 2, which must give out m+1..n
-            return sort((*twos, *reversed(ones)), CLASSICAL_STACK) == tails[len(out2)]
+            # stage 1 drains through stage 2; if no pop breaks the order,
+            # stage 2 then holds the rest, which it gives out in order
+            return _feed(reversed(ones), two[:], m) >= 0
         # the letters used are 1..m and the stacks' letters, so this key
         # fixes what is left to count
-        key = (len(out2), *ones, 0, *twos)
+        key = (m, *ones, 0, *two)
         total = memo.get(key)
         if total is not None:
             return total
@@ -241,45 +301,47 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
             if used[x]:
                 continue
             popped = _enter(x, one, out1)
-            pops2 = []
-            for y in out1[len(out1) - popped :]:
-                pops2.append(_enter(y, two, out2))
-                if pops2[-1] and out2[-1] != len(out2):
-                    break
-            else:
+            after, k = two, m
+            if popped:
+                after = two[:]
+                k = _feed(out1[len(out1) - popped :], after, m)
+            if k >= 0:
                 used[x] = True
-                total += count(depth + 1)
+                total += count(depth + 1, after, k)
                 used[x] = False
-            for k in reversed(pops2):
-                two.undo(k, out2)
             one.undo(popped, out1)
         memo[key] = total
         return total
 
     used[first] = True
     _enter(first, one, out1)
-    return [count(1)]
+    total = count(1, [], 0)
+    # count refers to itself, so without this only the cycle collector
+    # would free the memo, and memos of finished jobs would pile up
+    memo.clear()
+    return [total]
 
 
-#: sort_count walks from this n up.  Below it too few states merge for the
-#: walk to pay: over all 15 pairs at n = 5 it takes about 1.25x the time of
-#: sorting the sweep's images, at n = 6 the two are even, and at n = 7 the
-#: walk takes half the time.
-WALK_MIN_N = 6
+#: sort_count walks from this n up.  Over all 15 pairs the walk takes
+#: 0.86x the time of sorting the sweep's images at n = 3, 0.74x at n = 4,
+#: 0.62x at n = 5 and 0.34x at n = 7; at n = 1 and 2 the two are even.
+WALK_MIN_N = 3
 
 
 def sort_count(first: Word, second: Word, n: int, workers: int = 1) -> int:
     """How many permutations of S_n the two-stage machine sorts.
 
     From n = WALK_MIN_N up, a depth-first walk over input prefixes that
-    runs both stacks: _enter pushes each letter into the first stack and
-    passes each of its pops at once into the classical stack, and
-    _Stack.undo backs out.  The classical stack pops in increasing order,
-    so a prefix is dropped as soon as it pops a letter other than the next
-    of 1, 2, ....  What is left to count depends only on how many letters
-    came out and on the two stacks' letters, so each such state is counted
-    once.  A complete prefix drains the first stack into the classical one
-    and is sorted when the rest comes out in order.  Below WALK_MIN_N it
+    runs both stacks: _enter pushes each letter into the first stack, and
+    _Stack.undo backs out.  Each of its pops passes at once into the
+    classical stack, a plain list: pop while the top is below the incoming
+    letter, then push.  The classical stack pops in increasing order, so a
+    prefix is dropped as soon as it pops a letter other than the next of
+    1, 2, ....  What is left to count depends only on how many letters came
+    out and on the two stacks' letters, so each such state is counted once.
+    A complete prefix drains the first stack through the classical one and
+    is sorted when no pop breaks that order: what the classical stack then
+    holds is the rest, top down in increasing order.  Below WALK_MIN_N it
     counts the identity among machine_images, the walk's oracle in the
     tests.
 

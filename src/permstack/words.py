@@ -62,9 +62,8 @@ def _tightest_bounds(p: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(lo), tuple(hi)
 
 
-def occurrences(w: Word, p: Word, anchored: bool = False) -> Iterator[tuple[int, ...]]:
-    """Yield every ascending index tuple whose letters in w form the pattern p;
-    when anchored, only those starting at index 0.
+def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
+    """Yield every ascending index tuple whose letters in w form the pattern p.
 
     p must be a permutation.  Tuples come out in lexicographic order of the
     index sequence.
@@ -91,14 +90,7 @@ def occurrences(w: Word, p: Word, anchored: bool = False) -> Iterator[tuple[int,
                 yield from extend(i + 1)
             chosen.pop()
 
-    if not anchored:
-        yield from extend(0)
-    elif m == 1:
-        if n:
-            yield (0,)
-    elif n >= m:  # p's first letter has no bound to meet
-        chosen.append(0)
-        yield from extend(1)
+    yield from extend(0)
 
 
 def contains(w: Word, p: Word, anchored: bool = False) -> bool:

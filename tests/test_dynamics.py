@@ -46,6 +46,23 @@ def test_sort_images_matches_pointwise_at_8(tset):
     assert dyn.sort_images(tset, 8) == images
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.integers(2, 5).flatmap(lambda m: st.permutations(range(1, m + 1))),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 7),
+)
+def test_sort_images_matches_pointwise_random_sets(patterns, n):
+    # the sweep copies a repeated subtree through the order-preserving map
+    # between two different sets of letters not yet out; random sets reach
+    # stack shapes the fixed sets above do not
+    tset = pattern_set(*map(tuple, patterns))
+    assert dyn.sort_images(tset, n) == [sort(p, tset) for p in enumerate_permutations(n)]
+
+
 def test_sort_images_guard():
     with pytest.raises(ValueError):
         dyn.sort_images(T_MAIN, 13)

@@ -221,14 +221,16 @@ def classical_sweep_push_tests(n):
     # the prefix tree of S_n replayed on a plain list stack: each entered
     # letter costs one test per pop it forces plus the test that admits it.
     # Like the sweep, each first letter's subtree keeps a memo, and a
-    # (letters left, stack) seen before with MEMO_MIN_LEFT or more letters
-    # left is not walked again, so it costs no test
+    # subtree whose order pattern (how many letters are left, and each
+    # stack letter's rank among the letters left and stacked) was seen
+    # before with MEMO_MIN_LEFT or more letters left is not walked again,
+    # so it costs no test
     tests = 0
 
     def walk(rest, stack, seen):
         nonlocal tests
         if len(rest) >= MEMO_MIN_LEFT:
-            key = (rest, tuple(stack))
+            key = (len(rest), tuple(sorted(rest | set(stack)).index(y) for y in stack))
             if key in seen:
                 return
             seen.add(key)
