@@ -8,20 +8,23 @@ desk scale: sweeps refuse n beyond words.MAX_ENUM_N.
 
 Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
-permutation separately (the tests compare the two).  The stack compares
-letters only by < and >, so below a node what the machine outputs depends
-only on the order pattern of the letters not yet out: how many are still
-to enter, and where the stack's letters rank among them.  A sweep walks
-each such subtree once per first letter and copies its images, relabelled
-onto the letters at hand and behind the current output, wherever the
-pattern recurs; it does so from MEMO_MIN_LEFT letters left up.  From
-n = WALK_MIN_N up, the two-stage machine's counts (sort_count, and so the
-15-pair table) come from a memoised walk over both stacks' states instead,
-which keeps no image, and whose second stage, the classical stack, is a
-plain list; the sweep, machine_images, is its oracle in the tests.
-Functions taking a ``workers`` argument split the tree by first letter
-across processes and merge deterministically, so output never depends on
-the worker count.
+permutation separately (the tests compare the two).  Every such walk, and
+the preimage search too, is a plain recursion over a bitmask of the
+letters left to enter, least first, that backs out with _Stack.undo.  The
+stack compares letters only by < and >, so below a node what the machine
+outputs depends only on the order pattern of the letters not yet out: how
+many are still to enter, and where the stack's letters rank among them.
+A sweep walks each such subtree once per first letter and copies its
+images, relabelled onto the letters at hand and behind the current
+output, wherever the pattern recurs; it does so from MEMO_MIN_LEFT letters
+left up.  From n = WALK_MIN_N up, the two-stage machine's counts
+(sort_count, and so the 15-pair table) come from a memoised walk over both
+stacks' states instead, which keeps no image, and whose second stage, the
+classical stack, is a plain list; the sweep, machine_images, is its oracle
+in the tests.  Each walk's memo is a plain dict private to one first
+letter, freed when that letter's job returns.  Functions taking a
+``workers`` argument split the tree by first letter across processes and
+merge deterministically, so output never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -263,52 +266,49 @@ def _feed(ys, two: list[int], m: int) -> int:
     return m
 
 
+def _count_sorted(
+    rest: int, one: _Stack, out1: list[int], two: list[int], m: int, memo: dict
+) -> int:
+    """How many completions of the current input prefix the two-stage
+    machine sorts; bit x of `rest` is set while x has not entered.  Stage 1
+    is `one`, its pops appended to out1 and passed on at once to stage 2,
+    which holds `two` and has given out 1..m."""
+    if not rest:
+        # stage 1 drains through stage 2; if no pop breaks the order,
+        # stage 2 then holds the rest, which it gives out in order
+        return _feed(reversed(one.letters), two[:], m) >= 0
+    # the letters entered are 1..m and the stacks' letters, so this key
+    # fixes what is left to count
+    key = (m, *one.letters, 0, *two)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    total = 0
+    left = rest
+    while left:
+        bit = left & -left
+        left ^= bit
+        popped = _enter(bit.bit_length() - 1, one, out1)
+        after, k = two, m
+        if popped:
+            after = two[:]
+            k = _feed(out1[len(out1) - popped :], after, m)
+        if k >= 0:
+            total += _count_sorted(rest ^ bit, one, out1, after, k, memo)
+        one.undo(popped, out1)
+    memo[key] = total
+    return total
+
+
 def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
     """How many permutations starting with `first` the two-stage machine
     sorts, as a one-element part for _fan_out."""
     tset, n, first = args
     one = _Stack(tset.patterns)
-    ones = one.letters
-    out1: list[int] = []  # stage 1's pops, each passed on to stage 2 at once
-    used = [False] * (n + 1)
-    memo: dict[tuple, int] = {}
-
-    def count(depth: int, two: list[int], m: int) -> int:
-        # stage 2 holds `two` and has given out 1..m
-        if depth == n:
-            # stage 1 drains through stage 2; if no pop breaks the order,
-            # stage 2 then holds the rest, which it gives out in order
-            return _feed(reversed(ones), two[:], m) >= 0
-        # the letters used are 1..m and the stacks' letters, so this key
-        # fixes what is left to count
-        key = (m, *ones, 0, *two)
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = 0
-        for x in range(1, n + 1):
-            if used[x]:
-                continue
-            popped = _enter(x, one, out1)
-            after, k = two, m
-            if popped:
-                after = two[:]
-                k = _feed(out1[len(out1) - popped :], after, m)
-            if k >= 0:
-                used[x] = True
-                total += count(depth + 1, after, k)
-                used[x] = False
-            one.undo(popped, out1)
-        memo[key] = total
-        return total
-
-    used[first] = True
+    out1: list[int] = []
     _enter(first, one, out1)
-    total = count(1, [], 0)
-    # count refers to itself, so without this only the cycle collector
-    # would free the memo, and memos of finished jobs would pile up
-    memo.clear()
-    return [total]
+    rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
+    return [_count_sorted(rest, one, out1, [], 0, {})]
 
 
 #: sort_count walks from this n up.  Over all 15 pairs the walk takes
@@ -326,18 +326,14 @@ def sort_count(first: Word, second: Word, n: int, workers: int = 1) -> int:
     """How many permutations of S_n the two-stage machine sorts.
 
     From n = WALK_MIN_N up, a depth-first walk over input prefixes that
-    runs both stacks: _enter pushes each letter into the first stack, and
-    _Stack.undo backs out.  Each of its pops passes at once into the
-    classical stack, a plain list: pop while the top is below the incoming
-    letter, then push.  The classical stack pops in increasing order, so a
+    runs both stacks.  Each pop of the first passes at once into the
+    classical stack, a plain list, which pops in increasing order, so a
     prefix is dropped as soon as it pops a letter other than the next of
     1, 2, ....  What is left to count depends only on how many letters came
     out and on the two stacks' letters, so each such state is counted once.
     A complete prefix drains the first stack through the classical one and
-    is sorted when no pop breaks that order: what the classical stack then
-    holds is the rest, top down in increasing order.  Below WALK_MIN_N it
-    counts the identity among machine_images, the walk's oracle in the
-    tests.
+    is sorted when no pop breaks that order.  Below WALK_MIN_N it counts
+    the identity among machine_images, the walk's oracle in the tests.
 
     >>> sort_count((1, 2, 3), (3, 2, 1), 8)
     112
@@ -433,14 +429,13 @@ def build_sort_table(max_n: int, workers: int = 1) -> SortTable:
 def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     """All permutations the machine sends to gamma.
 
-    A depth-first walk over input prefixes that runs the machine itself:
-    one _enter per letter, and _Stack.undo to back out.  It follows only
-    prefixes gamma can still come out of.  Every pop must be gamma's next
-    letter, and the stack, read top to bottom, must keep gamma's order,
-    since it empties in that order; so while the top is not gamma's next
-    letter, only letters gamma puts before the top may enter.  The first
-    k-2 letters never leave the stack bottom, so they are gamma's last k-2
-    reversed.  Every complete prefix is a preimage.
+    A depth-first walk over input prefixes that runs the machine itself
+    and follows only prefixes gamma can still come out of.  Every pop must
+    be gamma's next letter, and the stack, read top to bottom, must keep
+    gamma's order, since it empties in that order; so while the top is not
+    gamma's next letter, only letters gamma puts before the top may enter.
+    The first k-2 letters never leave the stack bottom, so they are gamma's
+    last k-2 reversed.  Every complete prefix is a preimage.
 
     The walk costs what the prefixes it follows cost, so it gains most on
     targets with few preimages, as most targets are.  Near the
@@ -462,41 +457,44 @@ def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     for i, v in enumerate(gamma):
         at[v] = i
     stack = _Stack(tset.patterns)
-    letters = stack.letters
     out: list[int] = []
-    word: list[int] = []
-    used = [False] * (n + 1)
-    found: set[Word] = set()
-
-    def walk() -> None:
-        if len(word) == n:
-            found.add(tuple(word))
-            return
-        nxt = len(out)
-        top = at[letters[-1]] if letters else n
-        # gamma's letters from nxt up to the top have not entered yet
-        for i in range(nxt, n if top == nxt else top):
-            x = gamma[i]
-            if used[x]:
-                continue
-            popped = _enter(x, stack, out)
-            if (not popped or at[out[-1]] == len(out) - 1) and (
-                len(letters) < 2 or i < at[letters[-2]]
-            ):
-                used[x] = True
-                word.append(x)
-                walk()
-                word.pop()
-                used[x] = False
-            stack.undo(popped, out)
-
     # the first k-2 letters stay at the stack bottom and come out last
-    for x in reversed(gamma[max(n - tset.min_len + 2, 0) :]):
+    word = list(reversed(gamma[max(n - tset.min_len + 2, 0) :]))
+    rest = (1 << (n + 1)) - 2  # bits 1..n
+    for x in word:
         _enter(x, stack, out)
-        used[x] = True
-        word.append(x)
-    walk()
+        rest ^= 1 << x
+    found: set[Word] = set()
+    _extend_preimages(rest, stack, out, word, gamma, at, found)
     return found
+
+
+def _extend_preimages(
+    rest: int, stack: _Stack, out: list[int], word: list[int],
+    gamma: Word, at: list[int], found: set[Word],
+) -> None:
+    """Add to found every completion of the input prefix `word` that the
+    machine sends to gamma, at[v] being v's index in gamma; bit x of
+    `rest` is set while x has not entered."""
+    if not rest:
+        found.add(tuple(word))
+        return
+    letters = stack.letters
+    nxt = len(out)
+    top = at[letters[-1]] if letters else len(gamma)
+    # gamma's letters from nxt up to the top have not entered yet
+    for i in range(nxt, len(gamma) if top == nxt else top):
+        x = gamma[i]
+        if not rest >> x & 1:
+            continue
+        popped = _enter(x, stack, out)
+        if (not popped or at[out[-1]] == len(out) - 1) and (
+            len(letters) < 2 or i < at[letters[-2]]
+        ):
+            word.append(x)
+            _extend_preimages(rest ^ (1 << x), stack, out, word, gamma, at, found)
+            word.pop()
+        stack.undo(popped, out)
 
 
 def _preimages_by_moves(gamma: Word, tset: PatternSet) -> set[Word]:

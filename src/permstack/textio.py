@@ -4,6 +4,7 @@ Word syntax: comma-separated decimal letters ("5,2,4,1,3"), compact digits
 ("52413", letters 1..9 only), or bracketed ("[10,2,1]"; "[]" is the empty
 word).  Pattern-set syntax: comma-separated compact patterns ("123,132");
 a pattern with letters past 9 needs the bracket form ("[10,2,...]").
+Letters are written in the ASCII digits 0-9 only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ class ParseError(ValueError):
 
 def _parse_letter(item: str) -> int:
     item = item.strip()
-    if not item.isdigit():
+    if not (item.isascii() and item.isdigit()):
         raise ParseError(f"bad letter {item!r}: letters are decimal integers")
     v = int(item)
     if v < 1:
@@ -51,7 +52,7 @@ def parse_word(text: str) -> Word:
         return _parse_comma_letters(t[1:-1])
     if "," in t:
         return _parse_comma_letters(t)
-    if not t.isdigit():
+    if not (t.isascii() and t.isdigit()):
         raise ParseError(f"cannot parse word {text!r}")
     if len(t) == 1 or "0" in t:
         # a lone decimal letter ("7", "10"); compact form has no room for 0
@@ -107,7 +108,7 @@ def _parse_pattern_item(item: str) -> Word:
         if not item.endswith("]"):
             raise ParseError(f"unclosed bracket in pattern {item!r}")
         return _parse_comma_letters(item[1:-1])
-    if not item.isdigit():
+    if not (item.isascii() and item.isdigit()):
         raise ParseError(f"cannot parse pattern {item!r}")
     if "0" in item:
         raise ParseError(

@@ -51,7 +51,7 @@ def _small_pattern_sets() -> list[PatternSet]:
     return sets + [dyn.CLASSICAL_STACK]
 
 
-def suite_bijectivity(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_bijectivity(max_n: int, workers: int = 1) -> list[Check]:
     """The first-two-swap criterion against exhaustive injectivity, and the
     reverse-conjugate inverse when the criterion holds."""
     checks = []
@@ -97,7 +97,7 @@ RECURSION_SETS = (
 )
 
 
-def suite_recursion(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_recursion(max_n: int, workers: int = 1) -> list[Check]:
     """Simulation against the clumping recurrence, letter for letter."""
     return [
         _check(
@@ -142,7 +142,7 @@ def _bound_failures(tset: PatternSet, max_n: int, workers: int) -> Iterator[str]
             yield f"fails at n={n}, {format_word(g)}"
 
 
-def suite_bound(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_bound(max_n: int, workers: int = 1) -> list[Check]:
     """Preimage counts never exceed catalan(n - k + 2); the output-guided
     preimage search returns, for every target, the preimage set that one
     sweep of S_n tabulates."""
@@ -176,7 +176,7 @@ def _sharpness_failures(pattern: Word, sharp: bool, max_n: int, workers: int) ->
                 yield f"n={n}: family mismatch"
 
 
-def suite_sharpness(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_sharpness(max_n: int, workers: int = 1) -> list[Check]:
     """Single-pattern fertility: the Catalan bound is met exactly when the
     pattern's first two letters are consecutive, with the extremal target
     and family realizing it."""
@@ -190,7 +190,7 @@ def suite_sharpness(max_n: int = 7, workers: int = 1) -> list[Check]:
     return checks
 
 
-def suite_periodic(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_periodic(max_n: int, workers: int = 1) -> list[Check]:
     """Orbit structure of the {123,132}-avoiding stack: the periodic points
     are exactly the half-decreasing permutations, in (n//2)! cycles all of
     length ceil((n+1)/2), and every start falls into them."""
@@ -254,7 +254,7 @@ COMPLEMENT_SETS = (
 )
 
 
-def suite_complement(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_complement(max_n: int, workers: int = 1) -> list[Check]:
     """Complementing input and patterns complements the output."""
     return [
         _check(
@@ -272,7 +272,7 @@ def suite_complement(max_n: int = 7, workers: int = 1) -> list[Check]:
 MACHINE_CATALAN_PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
-def suite_machine_catalan(max_n: int = 6, workers: int = 1) -> list[Check]:
+def suite_machine_catalan(max_n: int, workers: int = 1) -> list[Check]:
     """Pair a pattern with its first-two swap and the two-stage machine
     sorts exactly catalan(n) permutations to the identity."""
     expected = [catalan(n) for n in range(1, max_n + 1)]
@@ -292,7 +292,7 @@ def suite_machine_catalan(max_n: int = 6, workers: int = 1) -> list[Check]:
 CONJECTURE_SETS = (pattern_set("132", "213"), pattern_set("231", "213"))
 
 
-def suite_conjectures(max_n: int = 7, workers: int = 1) -> list[Check]:
+def suite_conjectures(max_n: int, workers: int = 1) -> list[Check]:
     """Only the identity and its reverse should be periodic for these maps;
     a counterexample is reported verbatim rather than assumed away."""
     return [
@@ -321,7 +321,7 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], max_n: int = 7, workers: int = 1) -> list[Check]:
+def run_suites(names: list[str], max_n: int, workers: int = 1) -> list[Check]:
     checks = []
     for name in names:
         checks.extend(SUITES[name](max_n, workers))

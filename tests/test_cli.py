@@ -64,6 +64,12 @@ def test_exit_code_parse_failure(capsys):
     assert "perm" in err
     code, _, err = run(capsys, "sort", "--patterns", "12x", "--perm", "123")
     assert code == 2
+    # superscript and fullwidth digits pass str.isdigit, but letters are ASCII
+    for perm in ("\u00b2", "1\u00b2", "[\u00b2]", "2,\u00b2", "\uff11\uff12"):
+        code, _, err = run(capsys, "sort", "--patterns", "21", "--perm", perm)
+        assert code == 2 and err.startswith("error: bad --perm"), perm
+    code, _, err = run(capsys, "sort", "--patterns", "\u00b21", "--perm", "12")
+    assert code == 2 and err.startswith("error: bad --patterns")
 
 
 def test_exit_code_invalid_pattern_set(capsys):

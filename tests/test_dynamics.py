@@ -1,6 +1,7 @@
 """Global map analysis: bijectivity, the two-stage machine, preimages and
 fertility, extremal constructions, complement conjugation, and orbits."""
 
+import gc
 import itertools
 from math import factorial
 
@@ -293,6 +294,29 @@ def test_preimages_below_pattern_length_is_reverse():
     for n in range(0, 4):
         for gamma in enumerate_permutations(n):
             assert dyn.preimages(gamma, tset) == {reverse(gamma)}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dyn._subtree_count((pattern_set("132", "231"), 6, 2)),
+        lambda: dyn.preimages(identity(8), pattern_set("21")),
+    ],
+    ids=["table-walk", "preimages"],
+)
+def test_prefix_walks_leave_no_reference_cycles(call):
+    # the walks are plain recursions, not closures that refer to themselves,
+    # so reference counting alone frees a memo or a result set on return
+    call()  # warm-up: the push tables are kept across calls
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- fertility -------------------------------------------------------------------

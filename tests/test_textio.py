@@ -22,7 +22,9 @@ def test_parse_word_forms():
 
 
 def test_parse_word_rejects_junk():
-    for bad in ("abc", "1,,2", "0", "1,0", "[1,2", "5 2"):
+    # superscript and fullwidth digits pass str.isdigit; letters are ASCII
+    for bad in ("abc", "1,,2", "0", "1,0", "[1,2", "5 2", "\u00b2", "1\u00b2",
+                "[\u00b2]", "2,\u00b2", "\uff11\uff12"):
         with pytest.raises(ParseError):
             parse_word(bad)
 
@@ -48,6 +50,9 @@ def test_parse_patterns_errors():
         parse_patterns("[1,2")
     with pytest.raises(ParseError):
         parse_patterns("102")  # 0 digit: must use brackets past 9
+    for bad in ("\u00b21", "[2,\u00b2]", "\uff12\uff11"):
+        with pytest.raises(ParseError):
+            parse_patterns(bad)  # superscript and fullwidth digits
     with pytest.raises(ValueError):
         parse_patterns("")  # empty set is invalid, but not a syntax error
     with pytest.raises(ValueError):
