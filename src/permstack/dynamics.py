@@ -247,9 +247,9 @@ def _machine_subtree(args: tuple[PatternSet, int, int]) -> list[Word]:
     return [sort(img, CLASSICAL_STACK) for img in _subtree_images((tset, n, start))]
 
 
-def machine_images(first: Word, second: Word, n: int, workers: int = 1) -> list[Word]:
+def machine_images(tset: PatternSet, n: int, workers: int = 1) -> list[Word]:
     """Two-stage machine outputs across S_n in lexicographic input order."""
-    return _fan_out(_machine_subtree, pattern_set(first, second), n, workers)
+    return _fan_out(_machine_subtree, tset, n, workers)
 
 
 def _feed(ys, two: list[int], m: int) -> int:
@@ -322,7 +322,7 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
 WALK_MIN_N = 3
 
 
-def sort_count(first: Word, second: Word, n: int, workers: int = 1) -> int:
+def sort_count(tset: PatternSet, n: int, workers: int = 1) -> int:
     """How many permutations of S_n the two-stage machine sorts.
 
     From n = WALK_MIN_N up, a depth-first walk over input prefixes that
@@ -335,12 +335,13 @@ def sort_count(first: Word, second: Word, n: int, workers: int = 1) -> int:
     is sorted when no pop breaks that order.  Below WALK_MIN_N it counts
     the identity among machine_images, the walk's oracle in the tests.
 
-    >>> sort_count((1, 2, 3), (3, 2, 1), 8)
+    >>> from permstack.words import pattern_set
+    >>> sort_count(pattern_set("123", "321"), 8)
     112
     """
     if n < WALK_MIN_N:
-        return machine_images(first, second, n, workers).count(identity(n))
-    return sum(_fan_out(_subtree_count, pattern_set(first, second), n, workers))
+        return machine_images(tset, n, workers).count(identity(n))
+    return sum(_fan_out(_subtree_count, tset, n, workers))
 
 
 #: Previously reported counts for |sort_n| over all pairs of length-3
@@ -407,7 +408,8 @@ def build_sort_table(max_n: int, workers: int = 1) -> SortTable:
     cat_prefix = tuple(catalan(i) for i in range(1, max_n + 1))
     rows = []
     for sigma, tau in itertools.combinations(LENGTH3_PATTERNS, 2):
-        counts = tuple(sort_count(sigma, tau, n, workers) for n in range(1, max_n + 1))
+        tset = pattern_set(sigma, tau)
+        counts = tuple(sort_count(tset, n, workers) for n in range(1, max_n + 1))
         refs = REFERENCE_COUNTS[(sigma, tau)]
         rows.append(
             SortTableRow(

@@ -284,22 +284,18 @@ def movement_sequences(semilength: int) -> Iterator[str]:
     (N before X); there are catalan(semilength) of them."""
     if semilength < 0:
         raise ValueError("semilength must be nonnegative")
-    steps: list[str] = []
+    yield from _balanced_completions("", semilength, 0)
 
-    def grow(pushed: int, height: int) -> Iterator[str]:
-        if len(steps) == 2 * semilength:
-            yield "".join(steps)
-            return
-        if pushed < semilength:
-            steps.append(ENTER)
-            yield from grow(pushed + 1, height + 1)
-            steps.pop()
-        if height > 0:
-            steps.append(EXIT)
-            yield from grow(pushed, height - 1)
-            steps.pop()
 
-    yield from grow(0, 0)
+def _balanced_completions(prefix: str, enters: int, height: int) -> Iterator[str]:
+    """Every balanced completion of prefix, N before X, with `enters` enters
+    still to make over a stack `height` high."""
+    if not enters and not height:
+        yield prefix
+    if enters:
+        yield from _balanced_completions(prefix + ENTER, enters - 1, height + 1)
+    if height:
+        yield from _balanced_completions(prefix + EXIT, enters, height - 1)
 
 
 def is_legal_movement_sequence(steps: str, n: int, tset: PatternSet) -> bool:

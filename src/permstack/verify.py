@@ -279,7 +279,8 @@ def suite_machine_catalan(max_n: int, workers: int = 1) -> list[Check]:
     checks = []
     for p in MACHINE_CATALAN_PATTERNS:
         q = (p[1], p[0]) + p[2:]
-        counts = [dyn.sort_count(p, q, n, workers) for n in range(1, max_n + 1)]
+        tset = pattern_set(p, q)
+        counts = [dyn.sort_count(tset, n, workers) for n in range(1, max_n + 1)]
         checks.append(
             _check(
                 f"machine catalan counts ({format_word(p)},{format_word(q)}) n<={max_n}",

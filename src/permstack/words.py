@@ -8,6 +8,10 @@ Conventions shared by the whole package:
 - A *pattern* is a permutation of length at least 2.  PatternSet collects
   the configurations a sorting stack must avoid (see machine).
 
+Containment and occurrences are one depth-first search over pattern
+positions: occurrences yields all its hits, and contains asks for the
+first.
+
 Everything here is a pure function on immutable tuples, so it is safe to
 call concurrently or from worker processes.
 """
@@ -62,35 +66,33 @@ def _tightest_bounds(p: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(lo), tuple(hi)
 
 
+def _extend_occurrences(
+    w: Word, lo: tuple[int, ...], hi: tuple[int, ...], chosen: list[int], start: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield, in lexicographic order, every occurrence whose first indices
+    are `chosen`, taking its next index from `start` on.  A letter is
+    admitted when it lies strictly between the letters at its two tightest
+    bounds."""
+    t, m = len(chosen), len(lo)
+    if t == m:
+        yield tuple(chosen)
+        return
+    low = w[chosen[lo[t]]] if lo[t] >= 0 else -math.inf
+    high = w[chosen[hi[t]]] if hi[t] >= 0 else math.inf
+    for i in range(start, len(w) - m + t + 1):
+        if low < w[i] < high:
+            chosen.append(i)
+            yield from _extend_occurrences(w, lo, hi, chosen, i + 1)
+            chosen.pop()
+
+
 def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
     """Yield every ascending index tuple whose letters in w form the pattern p.
 
     p must be a permutation.  Tuples come out in lexicographic order of the
     index sequence.
     """
-    m, n = len(p), len(w)
-    if m == 0:
-        yield ()
-        return
-    lo, hi = _tightest_bounds(p)
-    chosen: list[int] = []
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        t = len(chosen)
-        for i in range(start, n - (m - t) + 1):
-            x = w[i]
-            if lo[t] >= 0 and w[chosen[lo[t]]] >= x:
-                continue
-            if hi[t] >= 0 and w[chosen[hi[t]]] <= x:
-                continue
-            chosen.append(i)
-            if len(chosen) == m:
-                yield tuple(chosen)
-            else:
-                yield from extend(i + 1)
-            chosen.pop()
-
-    yield from extend(0)
+    return _extend_occurrences(w, *_tightest_bounds(p), [], 0)
 
 
 def contains(w: Word, p: Word, anchored: bool = False) -> bool:
@@ -103,35 +105,12 @@ def contains(w: Word, p: Word, anchored: bool = False) -> bool:
     >>> contains((4, 5, 3, 1, 2), (1, 3, 2))
     False
     """
-    # occurrences' depth-first search, stopping at the first match: each
-    # level keeps the letters chosen so far and admits a letter strictly
-    # between its two tightest bounds
-    m, n = len(p), len(w)
-    if m == 0:
-        return True
-    if n < m:
-        return False
-    lo, hi = _tightest_bounds(p)
-    chosen = [0] * m
-
-    def extend(t: int, start: int) -> bool:
-        low = chosen[lo[t]] if lo[t] >= 0 else -math.inf
-        high = chosen[hi[t]] if hi[t] >= 0 else math.inf
-        last = t + 1 == m
-        for i in range(start, n - m + t + 1):
-            x = w[i]
-            if low < x < high:
-                if last:
-                    return True
-                chosen[t] = x
-                if extend(t + 1, i + 1):
-                    return True
-        return False
-
-    if not anchored:
-        return extend(0, 0)
-    chosen[0] = w[0]  # p's first letter has no bound to meet
-    return m == 1 or extend(1, 1)
+    # the first hit of occurrences' search; p's first letter has no bound
+    # to meet, so an anchored search fixes index 0 and goes on from there.
+    # An empty w or p has nothing to anchor: the plain search answers it.
+    chosen, start = ([0], 1) if anchored and w and p else ([], 0)
+    hits = _extend_occurrences(w, *_tightest_bounds(p), chosen, start)
+    return next(hits, None) is not None
 
 
 def avoids(w: Word, p: Word) -> bool:

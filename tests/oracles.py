@@ -30,12 +30,17 @@ def pattern_of(w):
     return tuple(rank[x] for x in w)
 
 
-def contains(w, p):
-    # exhaustive index-subset scan
-    return any(
-        isomorphic(tuple(w[i] for i in idx), p)
+def occurrences(w, p):
+    # exhaustive index-subset scan, in lexicographic order
+    return (
+        idx
         for idx in itertools.combinations(range(len(w)), len(p))
+        if isomorphic(tuple(w[i] for i in idx), p)
     )
+
+
+def contains(w, p):
+    return next(occurrences(w, p), None) is not None
 
 
 def naive_trace(w, patterns):

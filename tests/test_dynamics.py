@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import machine_sort
-from permstack import dynamics as dyn
-from permstack.machine import sort
+from permstack import dynamics as dyn, machine
+from permstack.machine import clumping, legal_movement_sequences, sort, sort_recursive
 from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS, _small_pattern_sets
 from permstack.words import (
     catalan,
     complement,
+    contains,
     enumerate_avoiders,
     enumerate_permutations,
     identity,
+    occurrences,
     pattern_set,
     reverse,
     reverse_identity,
@@ -154,12 +156,13 @@ def test_machine_identity_iff_stage_avoids_231():
 def test_machine_images_match_machine_sort():
     # the prefix-tree sweep against its definition, pointwise, for all 15 pairs
     for first, second in itertools.combinations(S3, 2):
+        tset = pattern_set(first, second)
         for n in range(0, 7):
-            assert dyn.machine_images(first, second, n) == [
+            assert dyn.machine_images(tset, n) == [
                 machine_sort(p, first, second) for p in enumerate_permutations(n)
             ], (first, second, n)
-    pair = ((1, 2, 3), (2, 3, 1))
-    assert dyn.machine_images(*pair, 7, workers=2) == dyn.machine_images(*pair, 7)
+    tset = pattern_set("123", "231")
+    assert dyn.machine_images(tset, 7, workers=2) == dyn.machine_images(tset, 7)
 
 
 def test_sort_count_matches_machine_images():
@@ -168,8 +171,8 @@ def test_sort_count_matches_machine_images():
     for first, second in itertools.combinations(S3, 2):
         tset = pattern_set(first, second)
         for n in range(0, 8):
-            want = dyn.machine_images(first, second, n).count(identity(n))
-            assert dyn.sort_count(first, second, n) == want, (first, second, n)
+            want = dyn.machine_images(tset, n).count(identity(n))
+            assert dyn.sort_count(tset, n) == want, (first, second, n)
             if n:
                 walk = sum(dyn._fan_out(dyn._subtree_count, tset, n, 1))
                 assert walk == want, (first, second, n)
@@ -178,7 +181,7 @@ def test_sort_count_matches_machine_images():
 def test_sort_count_row_at_eight():
     # frozen from the walk, which agreed once with machine_images at n = 8
     # for all 15 pairs
-    row = [dyn.sort_count(first, second, 8) for first, second in itertools.combinations(S3, 2)]
+    row = [dyn.sort_count(pattern_set(*pair), 8) for pair in itertools.combinations(S3, 2)]
     assert row == [1430, 1430, 5168, 2950, 112, 5882, 8558, 1430, 606, 12978, 5882, 4677,
                    13254, 1430, 925]
 
@@ -296,6 +299,21 @@ def test_preimages_below_pattern_length_is_reverse():
             assert dyn.preimages(gamma, tset) == {reverse(gamma)}
 
 
+def _cyclic_garbage(call) -> int:
+    """How many objects the cycle collector finds after call(), run once
+    before to warm up: the push tables are kept across calls."""
+    call()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -307,16 +325,38 @@ def test_preimages_below_pattern_length_is_reverse():
 def test_prefix_walks_leave_no_reference_cycles(call):
     # the walks are plain recursions, not closures that refer to themselves,
     # so reference counting alone frees a memo or a result set on return
-    call()  # warm-up: the push tables are kept across calls
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gc.collect()
-        call()
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
+    assert _cyclic_garbage(call) == 0
+
+
+SEARCHED = (3, 1, 2, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: contains(SEARCHED, (2, 1, 3)),
+        lambda: contains(SEARCHED, (3, 1, 2), anchored=True),
+        lambda: list(occurrences(SEARCHED, (2, 1, 3))),
+        lambda: clumping(SEARCHED, T_MAIN),
+        lambda: sort_recursive(SEARCHED, T_MAIN),
+        lambda: list(legal_movement_sequences(6, 3)),
+    ],
+    ids=["contains", "contains-anchored", "occurrences", "clumping", "sort_recursive",
+         "movement-sequences"],
+)
+def test_searches_leave_no_reference_cycles(call):
+    # the occurrence search and the movement-sequence enumeration are
+    # module-level recursions too
+    assert _cyclic_garbage(call) == 0
+
+
+def test_push_misses_leave_no_reference_cycles(monkeypatch):
+    # on fresh tables every push test misses, so the sort runs contains
+    def sort_on_fresh_tables():
+        monkeypatch.setattr(machine, "_tables", {})
+        sort((5, 2, 4, 1, 3, 6), pattern_set("2134"))
+
+    assert _cyclic_garbage(sort_on_fresh_tables) == 0
 
 
 # --- fertility -------------------------------------------------------------------
@@ -451,9 +491,9 @@ def test_parallel_sweeps_match_serial():
     rep2 = dyn.fertility_max(pattern_set("213", "231"), 7, workers=2)
     rep1 = dyn.fertility_max(pattern_set("213", "231"), 7)
     assert rep2 == rep1
-    assert dyn.sort_count((1, 3, 2), (3, 1, 2), 7, workers=2) == catalan(7)
-    pair = ((1, 2, 3), (2, 3, 1))
-    assert dyn.sort_count(*pair, 7, workers=2) == dyn.sort_count(*pair, 7)
+    assert dyn.sort_count(pattern_set("132", "312"), 7, workers=2) == catalan(7)
+    tset = pattern_set("123", "231")
+    assert dyn.sort_count(tset, 7, workers=2) == dyn.sort_count(tset, 7)
 
 
 def test_workers_clamped_to_jobs_and_cpus(monkeypatch):
@@ -478,7 +518,7 @@ def test_workers_clamped_to_jobs_and_cpus(monkeypatch):
     monkeypatch.setattr(dyn.os, "cpu_count", lambda: 64)
     assert dyn.sort_images(T_MAIN, 7, workers=10_000) == dyn.sort_images(T_MAIN, 7)
     monkeypatch.setattr(dyn.os, "cpu_count", lambda: 3)
-    assert dyn.sort_count((1, 3, 2), (3, 1, 2), 7, workers=10_000) == catalan(7)
+    assert dyn.sort_count(pattern_set("132", "312"), 7, workers=10_000) == catalan(7)
     monkeypatch.setattr(dyn.os, "cpu_count", lambda: None)
     dyn.sort_images(T_MAIN, 7, workers=10_000)
     assert requested == [7, 3]

@@ -57,7 +57,7 @@ FAULTS = {
     "conjecture-refuted": [
         (dyn, "trivial_periodic_points_only", lambda tset, n, workers=1: (False, (2, 1)))
     ],
-    "sort-count-zero": [(dyn, "sort_count", lambda first, second, n, workers=1: 0)],
+    "sort-count-zero": [(dyn, "sort_count", lambda tset, n, workers=1: 0)],
 }
 
 
