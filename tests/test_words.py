@@ -74,6 +74,16 @@ def test_anchored_occurrences_are_those_at_index_zero():
                 expected = list(oracles.occurrences(w, p))
                 assert list(occurrences(w, p)) == expected
                 assert contains(w, p, anchored=True) == any(i[0] == 0 for i in expected)
+    # length 6: only the anchored answer, against the patterns of the
+    # subwords that start at index 0 (the full scan would take seconds)
+    for w in itertools.product((1, 2, 3, 4), repeat=6):
+        at_zero = {
+            oracles.pattern_of(tuple(w[i] for i in (0, *rest)))
+            for m in range(1, 5)
+            for rest in itertools.combinations(range(1, 6), m - 1)
+        }
+        for p in patterns:
+            assert contains(w, p, anchored=True) == (p in at_zero)
 
 
 @given(
