@@ -158,7 +158,7 @@ def _extend_images(
 
 def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     tset, n, first = args
-    stack = _Stack(tset.patterns)
+    stack = _Stack(tset.patterns, distinct=True)
     images: list[Word] = []
     _enter(first, stack, [])
     rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
@@ -304,7 +304,7 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
     """How many permutations starting with `first` the two-stage machine
     sorts, as a one-element part for _fan_out."""
     tset, n, first = args
-    one = _Stack(tset.patterns)
+    one = _Stack(tset.patterns, distinct=True)
     out1: list[int] = []
     _enter(first, one, out1)
     rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
@@ -458,7 +458,7 @@ def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     at = [0] * (n + 1)  # at[v]: v's index in gamma
     for i, v in enumerate(gamma):
         at[v] = i
-    stack = _Stack(tset.patterns)
+    stack = _Stack(tset.patterns, distinct=True)
     out: list[int] = []
     # the first k-2 letters stay at the stack bottom and come out last
     word = list(reversed(gamma[max(n - tset.min_len + 2, 0) :]))

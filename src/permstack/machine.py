@@ -14,18 +14,27 @@ stack with a letter x on top depends only on the stack's own pattern and
 on x's slot among the stack letters, so the stack patterns a pattern set
 allows form a generating tree: a state (one stack pattern) maps each slot
 to its child state, or to False when the push would form a forbidden
-pattern.  Every stack frame carries its state, so a push test costs two
-bisections of the sorted stack letters and one dict lookup.  Only a slot
-never tried from that state asks the oracle, _push_keeps_avoiding, which
-tests the stack letters for containment directly: containment compares
-letters only by < and >, so they need no ranking first.  The stack itself
-avoids the set, as each of its letters passed this test, so the oracle
-looks only at occurrences anchored at the new top letter.  The tables
-memoise that oracle and, like an lru_cache, report their hits and misses
-through _push_keeps_avoiding.cache_info().  They grow lazily, one per
-pattern set, shared by all runs in a process.  Once they hold more than
-STATE_BUDGET states in all, the next run starts fresh tables; a run under
-way keeps the table it started with and holds whatever states it reaches.
+pattern.  Every stack frame carries its state, so a push test costs one
+slot count and one dict lookup.  A walk over permutations, whose letters
+are distinct, counts the slot on a bitmask of the stack letters; sort and
+sort_with_trace, which take words with repeats, bisect the sorted stack
+letters.
+
+The stack itself avoids the set, as each of its letters passed this test,
+so a push can only form occurrences that start at x.  Those that skip the
+top letter y are the ones x would form one frame down, whose entry for x
+decides them; only those with y as second letter need a search, and only
+for patterns whose first two letters compare as x and y do.  So a slot
+never tried from a state walks down the frames, without recursion, to the
+highest one that knows x, and fills the missing entries upward.  The slow
+oracle, _push_keeps_avoiding, searches the whole stack for occurrences
+anchored at x; the tests compare the tables with it.  The tables memoise
+it and, like an lru_cache, report their hits and misses through
+_push_keeps_avoiding.cache_info(), each entry filled being one miss.  They
+grow lazily, one per pattern set, shared by all runs in a process.  Once
+they hold more than STATE_BUDGET states in all, the next run starts fresh
+tables; a run under way keeps the table it started with and holds
+whatever states it reaches.
 
 A stack keeps the states of the frames it pops, and the output keeps their
 letters, so a walk over inputs (the prefix-tree sweep, the preimage
@@ -38,11 +47,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .words import (
     PatternSet,
     Word,
+    _extend_occurrences,
+    _tightest_bounds,
     contains,
     occurrences,
     reverse,
@@ -59,19 +71,24 @@ STATE_BUDGET = 1 << 18
 _tables: dict[frozenset, dict] = {}  # pattern set -> state of the empty stack
 _states_held = 0
 _lookups = 0  # push tests, ever
-_misses = 0   # push tests the tables could not answer, ever
+_misses = 0   # table entries filled, ever
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Stack:
     """The machine's stack: its letters bottom to top, the pattern state of
-    each frame, the same letters sorted, which place the next letter, and
-    the states of the frames popped so far, last on top, for undo."""
+    each frame, what places the next letter, and the states of the frames
+    popped so far, last on top, for undo.
 
-    __slots__ = ("patterns", "letters", "states", "ranked", "spent")
+    A stack of distinct letters, as every walk over permutations keeps,
+    places a letter by `mask`, bit y set while y is on the stack, and
+    `ranked` is None.  Otherwise, for words with repeats, `ranked` holds
+    the letters sorted and `mask` is unused."""
 
-    def __init__(self, patterns: frozenset):
+    __slots__ = ("patterns", "letters", "states", "ranked", "mask", "spent")
+
+    def __init__(self, patterns: frozenset, distinct: bool = False):
         global _states_held
         if _states_held > STATE_BUDGET:
             _tables.clear()
@@ -79,26 +96,38 @@ class _Stack:
         self.patterns = patterns
         self.letters: list[int] = []
         self.states = [_tables.setdefault(patterns, {})]
-        self.ranked: list[int] = []
+        self.ranked: list[int] | None = None if distinct else []
+        self.mask = 0
         self.spent: list[dict] = []
 
     def pop(self) -> int:
         x = self.letters.pop()
         self.spent.append(self.states.pop())
-        self.ranked.remove(x)
+        if self.ranked is None:
+            self.mask ^= 1 << x
+        else:
+            self.ranked.remove(x)
         return x
 
     def undo(self, popped: int, out: list[int]) -> None:
         """Take back the last _enter, which popped `popped` letters to out:
         drop the letter it pushed and put those letters back from out with
         their saved states, so no push test runs."""
+        letters, ranked = self.letters, self.ranked
         self.states.pop()
-        self.ranked.remove(self.letters.pop())
+        x = letters.pop()
+        if ranked is None:
+            self.mask ^= 1 << x
+        else:
+            ranked.remove(x)
         for _ in range(popped):
             x = out.pop()
-            self.letters.append(x)
+            letters.append(x)
             self.states.append(self.spent.pop())
-            insort(self.ranked, x)
+            if ranked is None:
+                self.mask |= 1 << x
+            else:
+                insort(ranked, x)
 
 
 def _push_keeps_avoiding(x: int, stack: _Stack) -> bool:
@@ -119,24 +148,79 @@ _push_keeps_avoiding.cache_info = _table_info
 
 def _can_push(x: int, stack: _Stack):
     """The push test: the state of the stack with x pushed, or False when
-    x may not be pushed (a fresh state is an empty dict, so test `is False`)."""
-    global _lookups, _misses, _states_held
+    x may not be pushed (a fresh state is an empty dict, so test `is False`).
+
+    Every call counts as one lookup.  A miss is one (state, slot) entry
+    resolved, so a lookup that fills the entries of frames below the top
+    counts one miss for each of them."""
+    global _lookups
     _lookups += 1
     # x's slot among the stack letters: those below x plus those not above
     # x.  It grows strictly as x moves up past or onto a letter, so with
-    # the state it fixes the new pattern, repeats included.
+    # the state it fixes the new pattern, repeats included.  Among distinct
+    # letters, x not one of them, both counts are the letters below x.
     ranked = stack.ranked
-    slot = bisect_left(ranked, x) + bisect_right(ranked, x)
-    top = stack.states[-1]
-    state = top.get(slot)
+    if ranked is None:
+        slot = 2 * (stack.mask & ((1 << x) - 1)).bit_count()
+    else:
+        slot = bisect_left(ranked, x) + bisect_right(ranked, x)
+    state = stack.states[-1].get(slot)
     if state is None:
+        state = _resolve(x, slot, stack)
+    return state
+
+
+@lru_cache(maxsize=None)
+def _second_letter_bounds(patterns: frozenset) -> tuple[tuple, tuple]:
+    """The occurrence-search bounds of the patterns whose first letter is
+    below their second, and of those whose first letter is above it."""
+    rising = tuple(_tightest_bounds(p) for p in sorted(patterns) if p[0] < p[1])
+    falling = tuple(_tightest_bounds(p) for p in sorted(patterns) if p[0] > p[1])
+    return rising, falling
+
+
+def _resolve(x: int, slot: int, stack: _Stack):
+    """Fill the top frame's missing entry for x, at `slot`, and return it.
+
+    An occurrence starting at x on frame i either skips that frame's top
+    letter y, and then frame i-1's entry for x decides it, or takes y as
+    its second letter, which only patterns whose first two letters compare
+    as x and y do can.  So walk down to the highest frame whose entry for
+    x is known (the empty stack admits any letter), then fill the entries
+    upward, searching each frame only for occurrences through its top."""
+    global _misses, _states_held
+    letters, states = stack.letters, stack.states
+    i, state = len(letters), None
+    while state is None and i:
+        i -= 1
+        y = letters[i]
+        slot -= 2 * (y < x) + (y == x)
+        state = states[i].get(slot)
+    if state is None:  # x onto the empty stack, which admits any letter
+        state = states[0][slot] = {}
         _misses += 1
-        if _push_keeps_avoiding(x, stack):
+        _states_held += 1
+    # `state` is frame i's entry for x, at `slot`; fill the ones above
+    rising, falling = _second_letter_bounds(stack.patterns)
+    top_down = None
+    m = len(letters)
+    while i < m:
+        y = letters[i]
+        slot += 2 * (y < x) + (y == x)
+        i += 1
+        if state is not False and y != x:
+            if top_down is None:
+                top_down = (x, *reversed(letters))
+            at = m - i + 1  # y's index in top_down
+            for lo, hi in rising if x < y else falling:
+                if next(_extend_occurrences(top_down, lo, hi, [0, at], at + 1), None):
+                    state = False
+                    break
+        if state is not False:
             state = {}
             _states_held += 1
-        else:
-            state = False
-        top[slot] = state
+        states[i][slot] = state
+        _misses += 1
     return state
 
 
@@ -148,7 +232,10 @@ def _enter(x: int, stack: _Stack, out: list[int]) -> int:
         popped += 1
     stack.letters.append(x)
     stack.states.append(state)
-    insort(stack.ranked, x)
+    if stack.ranked is None:
+        stack.mask |= 1 << x
+    else:
+        insort(stack.ranked, x)
     return popped
 
 

@@ -351,7 +351,8 @@ def test_searches_leave_no_reference_cycles(call):
 
 
 def test_push_misses_leave_no_reference_cycles(monkeypatch):
-    # on fresh tables every push test misses, so the sort runs contains
+    # on fresh tables every push test misses, so the sort runs the
+    # occurrence search of the miss path
     def sort_on_fresh_tables():
         monkeypatch.setattr(machine, "_tables", {})
         sort((5, 2, 4, 1, 3, 6), pattern_set("2134"))

@@ -2,17 +2,19 @@
 sequences, checked against hand traces and independent oracles."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_sort, naive_trace, pattern_of, textbook_stack_sort
 from permstack import machine
-from permstack.dynamics import MEMO_MIN_LEFT, sort_images
+from permstack.dynamics import MEMO_MIN_LEFT, preimages, sort_images
 from permstack.machine import (
     TraceEvent,
     _can_push,
     _enter,
+    _push_keeps_avoiding,
     _Stack,
     clumping,
     is_legal_movement_sequence,
@@ -142,25 +144,73 @@ def oracle_admits(x, letters, tset):
     ),
 )
 def test_push_table_matches_pattern_of_oracle(moves, tset):
-    # moves: a letter enters (popping as the machine does), None pops the top
-    stack = _Stack(tset.patterns)
-    for move in moves:
-        letters = list(stack.letters)
-        if move is None:
-            if letters:
-                stack.pop()
-            continue
-        for x in range(1, 8):  # every candidate, letters on the stack included
-            assert (_can_push(x, stack) is not False) == oracle_admits(x, letters, tset)
-        assert stack.letters == letters
-        expected, expected_out = list(letters), []
-        while expected and not oracle_admits(move, expected, tset):
-            expected_out.append(expected.pop())
-        out = []
-        _enter(move, stack, out)
-        assert out == expected_out
-        assert stack.letters == expected + [move]
-        assert stack.ranked == sorted(stack.letters)
+    # moves: a letter enters (popping as the machine does), None pops the top.
+    # On fresh tables every entry checked comes from the miss path, and the
+    # repeated letters reach the odd slots, where x equals a stack letter.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "_tables", {})
+        mp.setattr(machine, "_states_held", 0)
+        stack = _Stack(tset.patterns)
+        for move in moves:
+            letters = list(stack.letters)
+            if move is None:
+                if letters:
+                    stack.pop()
+                continue
+            for x in range(1, 8):  # every candidate, letters on the stack included
+                admits = oracle_admits(x, letters, tset)
+                assert _push_keeps_avoiding(x, stack) == admits
+                assert (_can_push(x, stack) is not False) == admits
+            assert stack.letters == letters
+            expected, expected_out = list(letters), []
+            while expected and not oracle_admits(move, expected, tset):
+                expected_out.append(expected.pop())
+            out = []
+            _enter(move, stack, out)
+            assert out == expected_out
+            assert stack.letters == expected + [move]
+            assert stack.ranked == sorted(stack.letters)
+
+
+def fresh_tables(monkeypatch):
+    monkeypatch.setattr(machine, "_tables", {})
+    monkeypatch.setattr(machine, "_states_held", 0)
+
+
+def test_deep_chain_resolves_without_scanning_the_stack(monkeypatch):
+    # each even letter lands on a 2134-free decreasing chain, and 1 then
+    # misses on every one of its 1,200 frames; the search for occurrences
+    # through each frame's top is all that runs, so this takes milliseconds
+    # where a search of the whole stack per push takes seconds
+    fresh_tables(monkeypatch)
+    start = time.perf_counter()
+    out = sort(tuple(range(2, 2401, 2)) + (1,), pattern_set("2134"))
+    assert time.perf_counter() - start < 1
+    assert out == (1, *range(2400, 1, -2))
+
+
+EXHAUSTIVE_SETS = [
+    pattern_set(*subset)
+    for size in range(1, 7)
+    for subset in itertools.combinations(itertools.permutations((1, 2, 3)), size)
+] + [pattern_set(p) for p in itertools.permutations((1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("tset", EXHAUSTIVE_SETS, ids=lambda t: ",".join(
+    "".join(map(str, p)) for p in t))
+def test_push_tables_from_scratch_match_oracles(monkeypatch, tset):
+    # fresh tables, so every entry the sweep and the preimage walks read
+    # was filled by the miss path with distinct letters
+    fresh_tables(monkeypatch)
+    pats = sorted(tset)
+    for n in range(7):
+        perms = list(enumerate_permutations(n))
+        images = sort_images(tset, n)
+        assert images == [naive_sort(p, pats) for p in perms]
+        table = {}
+        for p, img in zip(perms, images):
+            table.setdefault(img, set()).add(p)
+        assert all(preimages(gamma, tset) == table.get(gamma, set()) for gamma in perms)
 
 
 def test_push_table_reports_hits_and_misses(monkeypatch):
