@@ -12,7 +12,9 @@ for the requested operation), 4 size cap exceeded.
 
 Sweeps refuse n above words.MAX_ENUM_N (12).  All output is deterministic
 and independent of --parallel, which is bounded by the sweep's first-letter
-jobs and the CPU count.
+jobs and the CPU count.  One command holds one process pool: the first
+sweep that needs workers starts it, the command's later sweeps share it,
+and it stops when the command ends.
 """
 
 from __future__ import annotations

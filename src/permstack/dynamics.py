@@ -25,6 +25,9 @@ in the tests.  Each walk's memo is a plain dict private to one first
 letter, freed when that letter's job returns.  Functions taking a
 ``workers`` argument split the tree by first letter across processes and
 merge deterministically, so output never depends on the worker count.
+One request holds one process pool (shared_pool): the first sweep that
+needs workers starts it, every later sweep in the request maps over it,
+and it stops when the request ends; build_sort_table is one request.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from math import factorial
 from operator import itemgetter
@@ -168,10 +172,49 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     return images
 
 
+#: The open request's pool getter (see shared_pool), or None outside one.
+_request = None
+
+
+@contextmanager
+def shared_pool():
+    """Hold one process pool for every sweep run inside the block.
+
+    The first sweep that needs workers starts it, sized min(workers, n,
+    CPUs) by that sweep, and every later one maps over it, so the workers
+    keep the push-table states they learn.  It is shut down when the block
+    ends, on an exception too.  A block inside an open one joins it.  The
+    pool lives no longer than the outermost block, so no worker outlives
+    the request or carries code forked in one request into the next.
+    Yields a function that takes a sweep's worker count and returns the
+    pool.
+    """
+    global _request
+    if _request is not None:
+        yield _request
+        return
+    with ExitStack() as stack:
+        pool = None
+
+        def pool_for(workers: int):
+            nonlocal pool
+            if pool is None:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            return pool
+
+        _request = pool_for
+        try:
+            yield pool_for
+        finally:
+            _request = None
+
+
 def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
-    """Run subtree((tset, n, first)) for each first letter of S_n, over at
-    most min(workers, n, CPUs) processes, and concatenate the parts in
-    lexicographic input order."""
+    """Run subtree((tset, n, first)) for each first letter of S_n and
+    concatenate the parts in lexicographic input order.  From n! >= 5000
+    up, with min(workers, n, CPUs) above one, the jobs run over the open
+    request's pool, started here at that size if the request has none;
+    outside a request, this call is a request of its own."""
     if not 0 <= n <= MAX_ENUM_N:
         raise ValueError(f"exhaustive sweeps are capped at n <= {MAX_ENUM_N}")
     if n == 0:
@@ -179,8 +222,8 @@ def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
     jobs = [(tset, n, first) for first in range(1, n + 1)]
     workers = min(workers, n, os.cpu_count() or 1)
     if workers > 1 and factorial(n) >= 5000:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(subtree, jobs))
+        with shared_pool() as pool_for:
+            parts = list(pool_for(workers).map(subtree, jobs))
     else:
         parts = [subtree(job) for job in jobs]
     return [img for part in parts for img in part]
@@ -402,25 +445,27 @@ def _reference_note(counts: tuple[int, ...], refs, max_n: int) -> str:
 def build_sort_table(max_n: int, workers: int = 1) -> SortTable:
     """Identity-preimage counts of the two-stage machine over all 15 pairs
     of distinct length-3 patterns, for n = 1..max_n, with notes comparing
-    against the previously reported values."""
+    against the previously reported values.  The whole table is one
+    request, so its sweeps share one process pool."""
     if not 1 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"table size must be 1..{MAX_ENUM_N}")
     cat_prefix = tuple(catalan(i) for i in range(1, max_n + 1))
     rows = []
-    for sigma, tau in itertools.combinations(LENGTH3_PATTERNS, 2):
-        tset = pattern_set(sigma, tau)
-        counts = tuple(sort_count(tset, n, workers) for n in range(1, max_n + 1))
-        refs = REFERENCE_COUNTS[(sigma, tau)]
-        rows.append(
-            SortTableRow(
-                sigma=sigma,
-                tau=tau,
-                counts=counts,
-                is_catalan=counts == cat_prefix,
-                reference=refs,
-                note=_reference_note(counts, refs, max_n),
+    with shared_pool():
+        for sigma, tau in itertools.combinations(LENGTH3_PATTERNS, 2):
+            tset = pattern_set(sigma, tau)
+            counts = tuple(sort_count(tset, n, workers) for n in range(1, max_n + 1))
+            refs = REFERENCE_COUNTS[(sigma, tau)]
+            rows.append(
+                SortTableRow(
+                    sigma=sigma,
+                    tau=tau,
+                    counts=counts,
+                    is_catalan=counts == cat_prefix,
+                    reference=refs,
+                    note=_reference_note(counts, refs, max_n),
+                )
             )
-        )
     return SortTable(max_n, tuple(rows))
 
 

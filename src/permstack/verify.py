@@ -323,7 +323,10 @@ SUITES = {
 
 
 def run_suites(names: list[str], max_n: int, workers: int = 1) -> list[Check]:
+    """The named suites' checks in order; the run is one request, so every
+    sweep in it shares one process pool (dynamics.shared_pool)."""
     checks = []
-    for name in names:
-        checks.extend(SUITES[name](max_n, workers))
+    with dyn.shared_pool():
+        for name in names:
+            checks.extend(SUITES[name](max_n, workers))
     return checks

@@ -3,6 +3,8 @@ fertility, extremal constructions, complement conjugation, and orbits."""
 
 import gc
 import itertools
+import multiprocessing
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import machine_sort
 from permstack import dynamics as dyn, machine
 from permstack.machine import clumping, legal_movement_sequences, sort, sort_recursive
-from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS, _small_pattern_sets
+from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS, _small_pattern_sets, run_suites
 from permstack.words import (
     catalan,
     complement,
@@ -523,3 +525,68 @@ def test_workers_clamped_to_jobs_and_cpus(monkeypatch):
     monkeypatch.setattr(dyn.os, "cpu_count", lambda: None)
     dyn.sort_images(T_MAIN, 7, workers=10_000)
     assert requested == [7, 3]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the pools started and the maps run over them.  Two CPUs, so a
+    workers=2 sweep from n = 7 (7! = 5040) up runs over a pool anywhere."""
+    counts = Counter()
+
+    class CountingPool(dyn.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            counts["starts"] += 1
+            super().__init__(max_workers=max_workers)
+
+        def map(self, fn, jobs):
+            counts["maps"] += 1
+            return super().map(fn, jobs)
+
+    monkeypatch.setattr(dyn, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(dyn.os, "cpu_count", lambda: 2)
+    yield counts
+    assert multiprocessing.active_children() == []
+
+
+def test_table_is_one_request_with_one_pool(pools):
+    # the 15 sweeps at n = 7 share the pool the first one starts
+    assert dyn.build_sort_table(7, 2) == dyn.build_sort_table(7)
+    assert pools == {"starts": 1, "maps": 15}
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_run_is_one_request_with_one_pool(pools):
+    names = ["periodic", "machine-catalan"]
+    pooled = run_suites(names, 7, 2)
+    assert pools["starts"] == 1 and pools["maps"] > 1
+    assert multiprocessing.active_children() == []
+    # names, verdicts and failure details
+    assert pooled == run_suites(names, 7)
+
+
+def test_serial_sweeps_stay_serial_inside_a_request(pools):
+    with dyn.shared_pool():
+        imgs = dyn.sort_images(T_MAIN, 7)
+        assert pools["starts"] == 0
+        assert dyn.sort_images(T_MAIN, 7, workers=2) == imgs
+        # the workers outlive the sweep that started them
+        assert len(multiprocessing.active_children()) == 2
+        dyn.sort_count(T_MAIN, 8)
+        dyn.sort_images(T_MAIN, 6, workers=2)  # 6! is below the pool's threshold
+        assert pools == {"starts": 1, "maps": 1}
+        assert dyn.sort_count(T_MAIN, 8, workers=2) == dyn.sort_count(T_MAIN, 8)
+        assert pools == {"starts": 1, "maps": 2}
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_request_stops_its_pool(pools):
+    with pytest.raises(ValueError, match="capped"):
+        with dyn.shared_pool():
+            dyn.sort_images(T_MAIN, 7, workers=2)
+            dyn.sort_images(T_MAIN, 13, workers=2)
+    assert pools["starts"] == 1
+    assert multiprocessing.active_children() == []
+    # the next request starts a pool of its own
+    assert dyn.image_size(T_MAIN, 7, workers=2) == dyn.image_size(T_MAIN, 7)
+    assert pools["starts"] == 2
+    assert multiprocessing.active_children() == []
