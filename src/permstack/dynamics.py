@@ -10,7 +10,10 @@ Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
 permutation separately (the tests compare the two).  Every such walk, and
 the preimage search too, is a plain recursion over a bitmask of the
-letters left to enter, least first, that backs out with _Stack.undo.  The
+letters left to enter, least first.  It holds the stack as plain lists
+(its letters, their states, the states of the frames popped) with a
+bitmask of its letters, steps with machine._push and backs out with
+machine._back, which restores the popped frames with no push test.  The
 stack compares letters only by < and >, so below a node what the machine
 outputs depends only on the order pattern of the letters not yet out: how
 many are still to enter, and where the stack's letters rank among them.
@@ -42,8 +45,9 @@ from math import factorial
 from operator import itemgetter
 
 from .machine import (
-    _enter,
-    _Stack,
+    _back,
+    _push,
+    _root,
     legal_movement_sequences,
     reconstruct_input,
     sort,
@@ -111,13 +115,18 @@ def _copy_images(
 
 def _extend_images(
     rest: int,
-    stack: _Stack,
+    mask: int,
+    patterns: frozenset,
+    letters: list[int],
+    states: list,
+    spent: list,
     out: list[int],
     images: list[Word],
     memo: dict[tuple, tuple[int, int, int]],
 ) -> None:
     """Append the images of every completion of the current input prefix,
-    in lexicographic order; bit x of `rest` is set while x has not entered.
+    in lexicographic order; bit x of `rest` is set while x has not entered,
+    and bit y of `mask` while y is on the stack (see machine._push).
 
     The stack compares letters only by < and >, so what comes out after
     `out` depends only on the order pattern of the alive letters: how many
@@ -132,16 +141,13 @@ def _extend_images(
     order; and the key fixes len(out), so every image in the slice carries
     the repeat's part of the output past that length.
     """
-    letters = stack.letters
     if not rest:
         images.append((*out, *reversed(letters)))
         return
     key = None
     count = rest.bit_count()
     if count >= MEMO_MIN_LEFT:
-        alive = rest  # the letters not yet out
-        for y in letters:
-            alive |= 1 << y
+        alive = rest | mask  # the letters not yet out
         # each stack letter's rank among the alive letters, from the top
         key = (count, *[(alive >> y).bit_count() for y in letters])
         seen = memo.get(key)
@@ -149,26 +155,29 @@ def _extend_images(
             _copy_images(seen, alive, out, images)
             return
     start = len(images)
+    h = len(letters)
     left = rest
     while left:
         bit = left & -left  # the least letter left, so inputs stay in order
         left ^= bit
-        popped = _enter(bit.bit_length() - 1, stack, out)
-        _extend_images(rest ^ bit, stack, out, images, memo)
-        stack.undo(popped, out)
+        held = _push(bit.bit_length() - 1, mask, patterns, letters, states, spent, out)
+        _extend_images(
+            rest ^ bit, held, patterns, letters, states, spent, out, images, memo
+        )
+        _back(h, letters, states, spent, out)
     if key is not None:
         memo[key] = (start, len(images), alive)
 
 
 def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     tset, n, first = args
-    stack = _Stack(tset.patterns, distinct=True)
-    images: list[Word] = []
-    _enter(first, stack, [])
+    patterns = tset.patterns
+    letters, states, spent, out, images = [], [_root(patterns)], [], [], []
+    mask = _push(first, 0, patterns, letters, states, spent, out)
     rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
     # the memo lives for this one first letter, so no part depends on how
     # the jobs are split over workers
-    _extend_images(rest, stack, [], images, {})
+    _extend_images(rest, mask, patterns, letters, states, spent, out, images, {})
     return images
 
 
@@ -310,35 +319,40 @@ def _feed(ys, two: list[int], m: int) -> int:
 
 
 def _count_sorted(
-    rest: int, one: _Stack, out1: list[int], two: list[int], m: int, memo: dict
+    rest: int, mask: int, patterns: frozenset, letters: list[int], states: list,
+    spent: list, out1: list[int], two: list[int], m: int, memo: dict,
 ) -> int:
     """How many completions of the current input prefix the two-stage
     machine sorts; bit x of `rest` is set while x has not entered.  Stage 1
-    is `one`, its pops appended to out1 and passed on at once to stage 2,
-    which holds `two` and has given out 1..m."""
+    holds `letters` with their `states` and `mask` (see machine._push), its
+    pops appended to out1 and passed on at once to stage 2, which holds
+    `two` and has given out 1..m."""
     if not rest:
         # stage 1 drains through stage 2; if no pop breaks the order,
         # stage 2 then holds the rest, which it gives out in order
-        return _feed(reversed(one.letters), two[:], m) >= 0
+        return _feed(reversed(letters), two[:], m) >= 0
     # the letters entered are 1..m and the stacks' letters, so this key
     # fixes what is left to count
-    key = (m, *one.letters, 0, *two)
+    key = (m, *letters, 0, *two)
     total = memo.get(key)
     if total is not None:
         return total
     total = 0
+    h, o = len(letters), len(out1)
     left = rest
     while left:
         bit = left & -left
         left ^= bit
-        popped = _enter(bit.bit_length() - 1, one, out1)
+        held = _push(bit.bit_length() - 1, mask, patterns, letters, states, spent, out1)
         after, k = two, m
-        if popped:
+        if len(out1) > o:  # the push popped out1[o:]
             after = two[:]
-            k = _feed(out1[len(out1) - popped :], after, m)
+            k = _feed(out1[o:], after, m)
         if k >= 0:
-            total += _count_sorted(rest ^ bit, one, out1, after, k, memo)
-        one.undo(popped, out1)
+            total += _count_sorted(
+                rest ^ bit, held, patterns, letters, states, spent, out1, after, k, memo
+            )
+        _back(h, letters, states, spent, out1)
     memo[key] = total
     return total
 
@@ -347,11 +361,11 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
     """How many permutations starting with `first` the two-stage machine
     sorts, as a one-element part for _fan_out."""
     tset, n, first = args
-    one = _Stack(tset.patterns, distinct=True)
-    out1: list[int] = []
-    _enter(first, one, out1)
+    patterns = tset.patterns
+    letters, states, spent, out1 = [], [_root(patterns)], [], []
+    mask = _push(first, 0, patterns, letters, states, spent, out1)
     rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
-    return [_count_sorted(rest, one, out1, [], 0, {})]
+    return [_count_sorted(rest, mask, patterns, letters, states, spent, out1, [], 0, {})]
 
 
 #: sort_count walks from this n up.  Over all 15 pairs the walk takes
@@ -503,30 +517,35 @@ def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     at = [0] * (n + 1)  # at[v]: v's index in gamma
     for i, v in enumerate(gamma):
         at[v] = i
-    stack = _Stack(tset.patterns, distinct=True)
-    out: list[int] = []
+    patterns = tset.patterns
+    letters, states, spent, out = [], [_root(patterns)], [], []
     # the first k-2 letters stay at the stack bottom and come out last
     word = list(reversed(gamma[max(n - tset.min_len + 2, 0) :]))
     rest = (1 << (n + 1)) - 2  # bits 1..n
+    mask = 0
     for x in word:
-        _enter(x, stack, out)
+        mask = _push(x, mask, patterns, letters, states, spent, out)
         rest ^= 1 << x
     found: set[Word] = set()
-    _extend_preimages(rest, stack, out, word, gamma, at, found)
+    _extend_preimages(
+        rest, mask, patterns, letters, states, spent, out, word, gamma, at, found
+    )
     return found
 
 
 def _extend_preimages(
-    rest: int, stack: _Stack, out: list[int], word: list[int],
+    rest: int, mask: int, patterns: frozenset, letters: list[int], states: list,
+    spent: list, out: list[int], word: list[int],
     gamma: Word, at: list[int], found: set[Word],
 ) -> None:
     """Add to found every completion of the input prefix `word` that the
     machine sends to gamma, at[v] being v's index in gamma; bit x of
-    `rest` is set while x has not entered."""
+    `rest` is set while x has not entered, and bit y of `mask` while y is
+    on the stack (see machine._push)."""
     if not rest:
         found.add(tuple(word))
         return
-    letters = stack.letters
+    h = len(letters)
     nxt = len(out)
     top = at[letters[-1]] if letters else len(gamma)
     # gamma's letters from nxt up to the top have not entered yet
@@ -534,14 +553,17 @@ def _extend_preimages(
         x = gamma[i]
         if not rest >> x & 1:
             continue
-        popped = _enter(x, stack, out)
-        if (not popped or at[out[-1]] == len(out) - 1) and (
+        held = _push(x, mask, patterns, letters, states, spent, out)
+        if (len(out) == nxt or at[out[-1]] == len(out) - 1) and (
             len(letters) < 2 or i < at[letters[-2]]
         ):
             word.append(x)
-            _extend_preimages(rest ^ (1 << x), stack, out, word, gamma, at, found)
+            _extend_preimages(
+                rest ^ (1 << x), held, patterns, letters, states, spent, out, word,
+                gamma, at, found,
+            )
             word.pop()
-        stack.undo(popped, out)
+        _back(h, letters, states, spent, out)
 
 
 def _preimages_by_moves(gamma: Word, tset: PatternSet) -> set[Word]:

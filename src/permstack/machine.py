@@ -9,16 +9,17 @@ the single forbidden pattern 21 this is the classical stack sort.
 A run of length n takes exactly 2n steps, recorded as a movement sequence
 over N (enter) and X (exit); movement sequences are balanced Dyck words.
 
-The push test, _can_push, is a table lookup.  The order pattern of the
-stack with a letter x on top depends only on the stack's own pattern and
-on x's slot among the stack letters, so the stack patterns a pattern set
-allows form a generating tree: a state (one stack pattern) maps each slot
-to its child state, or to False when the push would form a forbidden
-pattern.  Every stack frame carries its state, so a push test costs one
-slot count and one dict lookup.  A walk over permutations, whose letters
-are distinct, counts the slot on a bitmask of the stack letters; sort and
-sort_with_trace, which take words with repeats, bisect the sorted stack
-letters.
+The push test is a table lookup.  The order pattern of the stack with a
+letter x on top depends only on the stack's own pattern and on x's slot
+among the stack letters, so the stack patterns a pattern set allows form a
+generating tree: a state (one stack pattern) maps each slot to its child
+state, or to False when the push would form a forbidden pattern.  Every
+stack frame carries its state, so a push test costs one slot count and
+one dict lookup.  sort and sort_with_trace, which take words with repeats,
+run _enter on a _Stack, and its push test, _can_push, bisects the sorted
+stack letters for the slot.  A walk over permutations, whose letters are
+distinct, holds its stack as plain lists and steps with _push, which
+counts the slot on a bitmask of the stack letters and pops inline.
 
 The stack itself avoids the set, as each of its letters passed this test,
 so a push can only form occurrences that start at x.  Those that skip the
@@ -36,10 +37,10 @@ they hold more than STATE_BUDGET states in all, the next run starts fresh
 tables; a run under way keeps the table it started with and holds
 whatever states it reaches.
 
-A stack keeps the states of the frames it pops, and the output keeps their
-letters, so a walk over inputs (the prefix-tree sweep, the preimage
-search) takes back a step with _Stack.undo, which restores those frames
-and runs no push test.
+A walk over inputs (the prefix-tree sweep, the table walk, the preimage
+search) keeps the states of the frames _push pops in a list of its own,
+and the output keeps their letters, so _back takes a step back by
+restoring those frames, with no push test.
 """
 
 from __future__ import annotations
@@ -76,58 +77,34 @@ _misses = 0   # table entries filled, ever
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
+def _root(patterns: frozenset) -> dict:
+    """The state of the empty stack under `patterns`, where every run
+    starts; past STATE_BUDGET states held, all tables start fresh first."""
+    global _states_held
+    if _states_held > STATE_BUDGET:
+        _tables.clear()
+        _states_held = 0
+    return _tables.setdefault(patterns, {})
+
+
 class _Stack:
-    """The machine's stack: its letters bottom to top, the pattern state of
-    each frame, what places the next letter, and the states of the frames
-    popped so far, last on top, for undo.
+    """The word stack of sort and sort_with_trace: its letters bottom to
+    top, the pattern state of each frame, and the letters sorted, which
+    place the next letter among repeats."""
 
-    A stack of distinct letters, as every walk over permutations keeps,
-    places a letter by `mask`, bit y set while y is on the stack, and
-    `ranked` is None.  Otherwise, for words with repeats, `ranked` holds
-    the letters sorted and `mask` is unused."""
+    __slots__ = ("patterns", "letters", "states", "ranked")
 
-    __slots__ = ("patterns", "letters", "states", "ranked", "mask", "spent")
-
-    def __init__(self, patterns: frozenset, distinct: bool = False):
-        global _states_held
-        if _states_held > STATE_BUDGET:
-            _tables.clear()
-            _states_held = 0
+    def __init__(self, patterns: frozenset):
         self.patterns = patterns
         self.letters: list[int] = []
-        self.states = [_tables.setdefault(patterns, {})]
-        self.ranked: list[int] | None = None if distinct else []
-        self.mask = 0
-        self.spent: list[dict] = []
+        self.states = [_root(patterns)]
+        self.ranked: list[int] = []
 
     def pop(self) -> int:
         x = self.letters.pop()
-        self.spent.append(self.states.pop())
-        if self.ranked is None:
-            self.mask ^= 1 << x
-        else:
-            self.ranked.remove(x)
-        return x
-
-    def undo(self, popped: int, out: list[int]) -> None:
-        """Take back the last _enter, which popped `popped` letters to out:
-        drop the letter it pushed and put those letters back from out with
-        their saved states, so no push test runs."""
-        letters, ranked = self.letters, self.ranked
         self.states.pop()
-        x = letters.pop()
-        if ranked is None:
-            self.mask ^= 1 << x
-        else:
-            ranked.remove(x)
-        for _ in range(popped):
-            x = out.pop()
-            letters.append(x)
-            self.states.append(self.spent.pop())
-            if ranked is None:
-                self.mask |= 1 << x
-            else:
-                insort(ranked, x)
+        self.ranked.remove(x)
+        return x
 
 
 def _push_keeps_avoiding(x: int, stack: _Stack) -> bool:
@@ -157,16 +134,12 @@ def _can_push(x: int, stack: _Stack):
     _lookups += 1
     # x's slot among the stack letters: those below x plus those not above
     # x.  It grows strictly as x moves up past or onto a letter, so with
-    # the state it fixes the new pattern, repeats included.  Among distinct
-    # letters, x not one of them, both counts are the letters below x.
+    # the state it fixes the new pattern, repeats included.
     ranked = stack.ranked
-    if ranked is None:
-        slot = 2 * (stack.mask & ((1 << x) - 1)).bit_count()
-    else:
-        slot = bisect_left(ranked, x) + bisect_right(ranked, x)
+    slot = bisect_left(ranked, x) + bisect_right(ranked, x)
     state = stack.states[-1].get(slot)
     if state is None:
-        state = _resolve(x, slot, stack)
+        state = _resolve(x, slot, stack.patterns, stack.letters, stack.states)
     return state
 
 
@@ -179,7 +152,7 @@ def _second_letter_bounds(patterns: frozenset) -> tuple[tuple, tuple]:
     return rising, falling
 
 
-def _resolve(x: int, slot: int, stack: _Stack):
+def _resolve(x: int, slot: int, patterns: frozenset, letters: list[int], states: list):
     """Fill the top frame's missing entry for x, at `slot`, and return it.
 
     An occurrence starting at x on frame i either skips that frame's top
@@ -189,7 +162,6 @@ def _resolve(x: int, slot: int, stack: _Stack):
     x is known (the empty stack admits any letter), then fill the entries
     upward, searching each frame only for occurrences through its top."""
     global _misses, _states_held
-    letters, states = stack.letters, stack.states
     i, state = len(letters), None
     while state is None and i:
         i -= 1
@@ -201,7 +173,7 @@ def _resolve(x: int, slot: int, stack: _Stack):
         _misses += 1
         _states_held += 1
     # `state` is frame i's entry for x, at `slot`; fill the ones above
-    rising, falling = _second_letter_bounds(stack.patterns)
+    rising, falling = _second_letter_bounds(patterns)
     top_down = None
     m = len(letters)
     while i < m:
@@ -232,11 +204,53 @@ def _enter(x: int, stack: _Stack, out: list[int]) -> int:
         popped += 1
     stack.letters.append(x)
     stack.states.append(state)
-    if stack.ranked is None:
-        stack.mask |= 1 << x
-    else:
-        insort(stack.ranked, x)
+    insort(stack.ranked, x)
     return popped
+
+
+def _push(
+    x: int, mask: int, patterns: frozenset, letters: list[int], states: list,
+    spent: list, out: list[int],
+) -> int:
+    """The one step rule on a stack of distinct letters, x not among them,
+    bit y of `mask` set while y is on it: pop until x may be pushed, each
+    popped letter onto out and its frame's state onto spent, push x, and
+    return the new mask.
+
+    x's slot is twice the number of stack letters below it, and every
+    state looked up counts as one lookup, as a _can_push call does."""
+    global _lookups
+    slot = 2 * (mask & ((1 << x) - 1)).bit_count()
+    tests = 1
+    state = states[-1].get(slot)
+    if state is None:
+        state = _resolve(x, slot, patterns, letters, states)
+    while state is False:
+        y = letters.pop()
+        out.append(y)
+        spent.append(states.pop())
+        mask ^= 1 << y
+        if y < x:
+            slot -= 2
+        tests += 1
+        state = states[-1].get(slot)
+        if state is None:
+            state = _resolve(x, slot, patterns, letters, states)
+    _lookups += tests
+    letters.append(x)
+    states.append(state)
+    return mask | 1 << x
+
+
+def _back(h: int, letters: list[int], states: list, spent: list, out: list[int]) -> None:
+    """Take back the last _push onto a stack that was h letters high: drop
+    the letter it pushed and put the letters it popped back from out with
+    their states from spent, so no push test runs."""
+    letters.pop()
+    states.pop()
+    while len(letters) < h:
+        letters.append(out.pop())
+        states.append(spent.pop())
 
 
 def sort(w: Word, tset: PatternSet) -> Word:

@@ -180,6 +180,22 @@ def test_sort_count_matches_machine_images():
                 assert walk == want, (first, second, n)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.integers(2, 5).flatmap(lambda m: st.permutations(range(1, m + 1))),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_table_walk_matches_machine_images_random_sets(patterns):
+    # the walk runs for any pattern set, not only the 15 pairs above
+    tset = pattern_set(*map(tuple, patterns))
+    for n in range(1, 7):
+        walk = sum(dyn._fan_out(dyn._subtree_count, tset, n, 1))
+        assert walk == dyn.machine_images(tset, n).count(identity(n)), n
+
+
 def test_sort_count_row_at_eight():
     # frozen from the walk, which agreed once with machine_images at n = 8
     # for all 15 pairs
@@ -319,10 +335,11 @@ def _cyclic_garbage(call) -> int:
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: dyn._subtree_images((pattern_set("2134"), 7, 2)),
         lambda: dyn._subtree_count((pattern_set("132", "231"), 6, 2)),
         lambda: dyn.preimages(identity(8), pattern_set("21")),
     ],
-    ids=["table-walk", "preimages"],
+    ids=["image-walk", "table-walk", "preimages"],
 )
 def test_prefix_walks_leave_no_reference_cycles(call):
     # the walks are plain recursions, not closures that refer to themselves,

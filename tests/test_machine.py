@@ -2,6 +2,7 @@
 sequences, checked against hand traces and independent oracles."""
 
 import itertools
+import operator
 import time
 
 import pytest
@@ -12,8 +13,10 @@ from permstack import machine
 from permstack.dynamics import MEMO_MIN_LEFT, preimages, sort_images
 from permstack.machine import (
     TraceEvent,
+    _back,
     _can_push,
     _enter,
+    _push,
     _push_keeps_avoiding,
     _Stack,
     clumping,
@@ -170,6 +173,70 @@ def test_push_table_matches_pattern_of_oracle(moves, tset):
             assert out == expected_out
             assert stack.letters == expected + [move]
             assert stack.ranked == sorted(stack.letters)
+
+
+def entered(mp, root, tset, word):
+    # a _Stack from `root` that has run _enter on each letter of word
+    mp.setattr(machine, "_tables", {tset.patterns: root})
+    stack, out = _Stack(tset.patterns), []
+    for x in word:
+        _enter(x, stack, out)
+    return stack, out
+
+
+def counters():
+    return machine._lookups, machine._misses
+
+
+@given(
+    st.permutations(range(1, 8)),
+    st.lists(st.one_of(st.integers(0, 6), st.none()), max_size=30),
+    st.sampled_from(
+        [pattern_set("21", "1234"), pattern_set("123", "2143"), pattern_set("3241"),
+         pattern_set("2413", "3142")]
+    ),
+)
+def test_push_and_back_match_stack_and_enter(perm, moves, tset):
+    # moves: an integer i pushes the letter of perm at index i among those
+    # not yet entered, None takes the last push back.  _push fills the
+    # table at `root`; _enter, replaying the input so far, fills a twin
+    # table in step with it, so both start each push from the same
+    # entries, and a replay on `root`, all hits, gives the states _push
+    # must have reached
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "_states_held", 0)
+        root, twin = {}, {}
+        letters, states, spent, out = [], [root], [], []
+        mask, word, saved = 0, [], []
+        for move in moves:
+            if move is None:
+                if saved:
+                    h, mask, before = saved.pop()
+                    word.pop()
+                    _back(h, letters, states, spent, out)
+                    assert (letters, out) == (before[0], before[3])
+                    for now, was in zip((states, spent), before[1:3]):
+                        assert len(now) == len(was)
+                        assert all(map(operator.is_, now, was))
+                continue
+            left = [x for x in perm if x not in word]
+            if not left:
+                continue
+            x = left[move % len(left)]
+            stack, expected_out = entered(mp, twin, tset, word)
+            start = counters()
+            _enter(x, stack, expected_out)
+            expected = [b - a for a, b in zip(start, counters())]
+            saved.append((len(letters), mask, (letters[:], states[:], spent[:], out[:])))
+            word.append(x)
+            start = counters()
+            mask = _push(x, mask, tset.patterns, letters, states, spent, out)
+            assert [b - a for a, b in zip(start, counters())] == expected
+            assert (letters, out) == (stack.letters, expected_out)
+            assert mask == sum(1 << y for y in letters)
+            stack, _ = entered(mp, root, tset, word)
+            assert len(states) == len(stack.states)
+            assert all(map(operator.is_, states, stack.states))
 
 
 def fresh_tables(monkeypatch):
