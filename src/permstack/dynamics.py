@@ -10,7 +10,8 @@ Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
 permutation separately (the tests compare the two).  Every such walk, and
 the preimage search too, is a plain recursion over a bitmask of the
-letters left to enter, least first.  It holds the stack as plain lists
+letters left to enter, least first.  It starts from _begin, which enters
+its first letters on an empty stack.  It holds the stack as plain lists
 (its letters, their states, the states of the frames popped) with a
 bitmask of its letters, steps with machine._push and backs out with
 machine._back, which restores the popped frames with no push test.  The
@@ -169,20 +170,33 @@ def _extend_images(
         memo[key] = (start, len(images), alive)
 
 
+def _begin(patterns: frozenset, n: int, prefix: Word | list[int]) -> tuple:
+    """The opening arguments of a walk over S_n under `patterns` once the
+    letters of `prefix` have entered the empty stack: the letters left to
+    enter and the stack letters as bitmasks, then the pattern set, the
+    stack's letters and states, the popped frames' states and the output
+    (see machine._push)."""
+    letters, states, spent, out = [], [_root(patterns)], [], []
+    rest, mask = (1 << (n + 1)) - 2, 0  # bits 1..n
+    for x in prefix:
+        mask = _push(x, mask, patterns, letters, states, spent, out)
+        rest ^= 1 << x
+    return rest, mask, patterns, letters, states, spent, out
+
+
 def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     tset, n, first = args
-    patterns = tset.patterns
-    letters, states, spent, out, images = [], [_root(patterns)], [], [], []
-    mask = _push(first, 0, patterns, letters, states, spent, out)
-    rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
+    images: list[Word] = []
     # the memo lives for this one first letter, so no part depends on how
     # the jobs are split over workers
-    _extend_images(rest, mask, patterns, letters, states, spent, out, images, {})
+    _extend_images(*_begin(tset.patterns, n, (first,)), images, {})
     return images
 
 
-#: The open request's pool getter (see shared_pool), or None outside one.
+#: The open request's ExitStack (see shared_pool), or None outside one.
 _request = None
+#: The open request's process pool, once a sweep has started it.
+_pool = None
 
 
 @contextmanager
@@ -195,27 +209,16 @@ def shared_pool():
     ends, on an exception too.  A block inside an open one joins it.  The
     pool lives no longer than the outermost block, so no worker outlives
     the request or carries code forked in one request into the next.
-    Yields a function that takes a sweep's worker count and returns the
-    pool.
     """
-    global _request
+    global _request, _pool
     if _request is not None:
-        yield _request
+        yield
         return
-    with ExitStack() as stack:
-        pool = None
-
-        def pool_for(workers: int):
-            nonlocal pool
-            if pool is None:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            return pool
-
-        _request = pool_for
+    with ExitStack() as _request:
         try:
-            yield pool_for
+            yield
         finally:
-            _request = None
+            _request = _pool = None
 
 
 def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
@@ -224,6 +227,7 @@ def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
     up, with min(workers, n, CPUs) above one, the jobs run over the open
     request's pool, started here at that size if the request has none;
     outside a request, this call is a request of its own."""
+    global _pool
     if not 0 <= n <= MAX_ENUM_N:
         raise ValueError(f"exhaustive sweeps are capped at n <= {MAX_ENUM_N}")
     if n == 0:
@@ -231,8 +235,10 @@ def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
     jobs = [(tset, n, first) for first in range(1, n + 1)]
     workers = min(workers, n, os.cpu_count() or 1)
     if workers > 1 and factorial(n) >= 5000:
-        with shared_pool() as pool_for:
-            parts = list(pool_for(workers).map(subtree, jobs))
+        with shared_pool():
+            if _pool is None:
+                _pool = _request.enter_context(ProcessPoolExecutor(max_workers=workers))
+            parts = list(_pool.map(subtree, jobs))
     else:
         parts = [subtree(job) for job in jobs]
     return [img for part in parts for img in part]
@@ -361,11 +367,7 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
     """How many permutations starting with `first` the two-stage machine
     sorts, as a one-element part for _fan_out."""
     tset, n, first = args
-    patterns = tset.patterns
-    letters, states, spent, out1 = [], [_root(patterns)], [], []
-    mask = _push(first, 0, patterns, letters, states, spent, out1)
-    rest = ((1 << (n + 1)) - 2) ^ (1 << first)  # bits 1..n but first
-    return [_count_sorted(rest, mask, patterns, letters, states, spent, out1, [], 0, {})]
+    return [_count_sorted(*_begin(tset.patterns, n, (first,)), [], 0, {})]
 
 
 #: sort_count walks from this n up.  Over all 15 pairs the walk takes
@@ -517,19 +519,10 @@ def preimages(gamma: Word, tset: PatternSet) -> set[Word]:
     at = [0] * (n + 1)  # at[v]: v's index in gamma
     for i, v in enumerate(gamma):
         at[v] = i
-    patterns = tset.patterns
-    letters, states, spent, out = [], [_root(patterns)], [], []
     # the first k-2 letters stay at the stack bottom and come out last
     word = list(reversed(gamma[max(n - tset.min_len + 2, 0) :]))
-    rest = (1 << (n + 1)) - 2  # bits 1..n
-    mask = 0
-    for x in word:
-        mask = _push(x, mask, patterns, letters, states, spent, out)
-        rest ^= 1 << x
     found: set[Word] = set()
-    _extend_preimages(
-        rest, mask, patterns, letters, states, spent, out, word, gamma, at, found
-    )
+    _extend_preimages(*_begin(tset.patterns, n, word), word, gamma, at, found)
     return found
 
 

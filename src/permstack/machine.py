@@ -15,11 +15,13 @@ among the stack letters, so the stack patterns a pattern set allows form a
 generating tree: a state (one stack pattern) maps each slot to its child
 state, or to False when the push would form a forbidden pattern.  Every
 stack frame carries its state, so a push test costs one slot count and
-one dict lookup.  sort and sort_with_trace, which take words with repeats,
-run _enter on a _Stack, and its push test, _can_push, bisects the sorted
-stack letters for the slot.  A walk over permutations, whose letters are
-distinct, holds its stack as plain lists and steps with _push, which
-counts the slot on a bitmask of the stack letters and pops inline.
+one dict lookup.  Every stack is plain lists: its letters bottom to top
+and their states.  sort and sort_with_trace, which take words with
+repeats and letters of any size, share one run, _run, which steps with
+_enter; its push test, _can_push, bisects a third list, the stack letters
+sorted, for the slot.  A walk over permutations, whose letters are
+distinct, steps with _push, which counts the slot on a bitmask of the
+stack letters.  Both pop inline.
 
 The stack itself avoids the set, as each of its letters passed this test,
 so a push can only form occurrences that start at x.  Those that skip the
@@ -87,32 +89,13 @@ def _root(patterns: frozenset) -> dict:
     return _tables.setdefault(patterns, {})
 
 
-class _Stack:
-    """The word stack of sort and sort_with_trace: its letters bottom to
-    top, the pattern state of each frame, and the letters sorted, which
-    place the next letter among repeats."""
-
-    __slots__ = ("patterns", "letters", "states", "ranked")
-
-    def __init__(self, patterns: frozenset):
-        self.patterns = patterns
-        self.letters: list[int] = []
-        self.states = [_root(patterns)]
-        self.ranked: list[int] = []
-
-    def pop(self) -> int:
-        x = self.letters.pop()
-        self.states.pop()
-        self.ranked.remove(x)
-        return x
-
-
-def _push_keeps_avoiding(x: int, stack: _Stack) -> bool:
-    """The oracle: does the stack, read top to bottom with x on top, still
-    avoid every forbidden pattern?  The stack alone avoids them, as every
-    push passed this test, so only occurrences starting at x can be new."""
-    top_down = (x, *reversed(stack.letters))
-    return not any(contains(top_down, p, anchored=True) for p in stack.patterns)
+def _push_keeps_avoiding(x: int, patterns: frozenset, letters: list[int]) -> bool:
+    """The oracle: do the stack letters, read top to bottom with x on top,
+    still avoid every forbidden pattern?  The stack alone avoids them, as
+    every push passed this test, so only occurrences starting at x can be
+    new."""
+    top_down = (x, *reversed(letters))
+    return not any(contains(top_down, p, anchored=True) for p in patterns)
 
 
 def _table_info() -> CacheInfo:
@@ -123,7 +106,9 @@ def _table_info() -> CacheInfo:
 _push_keeps_avoiding.cache_info = _table_info
 
 
-def _can_push(x: int, stack: _Stack):
+def _can_push(
+    x: int, patterns: frozenset, letters: list[int], states: list, ranked: list[int]
+):
     """The push test: the state of the stack with x pushed, or False when
     x may not be pushed (a fresh state is an empty dict, so test `is False`).
 
@@ -135,11 +120,10 @@ def _can_push(x: int, stack: _Stack):
     # x's slot among the stack letters: those below x plus those not above
     # x.  It grows strictly as x moves up past or onto a letter, so with
     # the state it fixes the new pattern, repeats included.
-    ranked = stack.ranked
     slot = bisect_left(ranked, x) + bisect_right(ranked, x)
-    state = stack.states[-1].get(slot)
+    state = states[-1].get(slot)
     if state is None:
-        state = _resolve(x, slot, stack.patterns, stack.letters, stack.states)
+        state = _resolve(x, slot, patterns, letters, states)
     return state
 
 
@@ -196,15 +180,23 @@ def _resolve(x: int, slot: int, patterns: frozenset, letters: list[int], states:
     return state
 
 
-def _enter(x: int, stack: _Stack, out: list[int]) -> int:
-    """The one step rule: pop until x may be pushed, push it, return the pops."""
+def _enter(
+    x: int, patterns: frozenset, letters: list[int], states: list, ranked: list[int],
+    out: list[int],
+) -> int:
+    """The one step rule on a word stack, `ranked` being its letters
+    sorted: pop until x may be pushed, each popped letter onto out, push x,
+    and return the pops."""
     popped = 0
-    while (state := _can_push(x, stack)) is False:
-        out.append(stack.pop())
+    while (state := _can_push(x, patterns, letters, states, ranked)) is False:
+        y = letters.pop()
+        states.pop()
+        ranked.remove(y)
+        out.append(y)
         popped += 1
-    stack.letters.append(x)
-    stack.states.append(state)
-    insort(stack.ranked, x)
+    letters.append(x)
+    states.append(state)
+    insort(ranked, x)
     return popped
 
 
@@ -253,6 +245,17 @@ def _back(h: int, letters: list[int], states: list, spent: list, out: list[int])
         states.append(spent.pop())
 
 
+def _run(w: Word, patterns: frozenset) -> tuple[Word, list[int]]:
+    """Run the machine on w: its output, and how many letters each letter
+    of w popped as it entered.  The stack is its letters bottom to top, the
+    state of each frame, and its letters sorted, which place the next
+    letter among repeats."""
+    letters, states, ranked, out, pops = [], [_root(patterns)], [], [], []
+    for x in w:
+        pops.append(_enter(x, patterns, letters, states, ranked, out))
+    return (*out, *reversed(letters)), pops
+
+
 def sort(w: Word, tset: PatternSet) -> Word:
     """Run the machine on w and return the output, a rearrangement of w.
 
@@ -262,12 +265,7 @@ def sort(w: Word, tset: PatternSet) -> Word:
     >>> sort((5, 2, 4, 1, 3), pattern_set("123", "132"))
     (4, 2, 3, 1, 5)
     """
-    out: list[int] = []
-    stack = _Stack(tset.patterns)
-    for x in w:
-        _enter(x, stack, out)
-    out.extend(reversed(stack.letters))
-    return tuple(out)
+    return _run(w, tset.patterns)[0]
 
 
 @dataclass(frozen=True)
@@ -284,12 +282,9 @@ def sort_with_trace(
     w: Word, tset: PatternSet
 ) -> tuple[Word, str, tuple[TraceEvent, ...]]:
     """Like sort, but also return the N/X step string and the full event log."""
-    out: list[int] = []
-    stack = _Stack(tset.patterns)
-    steps = "".join(EXIT * _enter(x, stack, out) + ENTER for x in w)
-    steps += EXIT * len(stack.letters)
-    out.extend(reversed(stack.letters))
-    return tuple(out), steps, _replay(w, steps)
+    out, pops = _run(w, tset.patterns)
+    steps = "".join(EXIT * k + ENTER for k in pops) + EXIT * (len(w) - sum(pops))
+    return out, steps, _replay(w, steps)
 
 
 def _replay(w: Word, steps: str) -> tuple[TraceEvent, ...]:

@@ -18,7 +18,6 @@ from permstack.machine import (
     _enter,
     _push,
     _push_keeps_avoiding,
-    _Stack,
     clumping,
     is_legal_movement_sequence,
     is_movement_sequence,
@@ -119,19 +118,34 @@ def test_classical_specialization_matches_textbook():
             assert sort(p, CLASSICAL) == textbook_stack_sort(p)
 
 
-@given(
-    st.lists(st.integers(1, 5), max_size=9),
-    st.sampled_from(
-        [pattern_set("123", "2143"), pattern_set("21", "1234"), T_MAIN, pattern_set("3241")]
-    ),
+TRACE_SETS = st.sampled_from(
+    [pattern_set("123", "2143"), pattern_set("21", "1234"), T_MAIN, pattern_set("3241")]
 )
-def test_trace_matches_naive_machine_step_by_step(letters, tset):
-    w = tuple(letters)
+
+
+def assert_runs_as_naive_machine(w, tset):
     out, steps, events = sort_with_trace(w, tset)
     expected = naive_trace(w, sorted(tset))
     assert [(ev.step, ev.letter, ev.stack, ev.output) for ev in events] == expected
     assert steps == "".join(ev[0] for ev in expected)
-    assert out == (expected[-1][3] if expected else ())
+    assert out == sort(w, tset) == (expected[-1][3] if expected else ())
+
+
+@given(st.lists(st.integers(1, 5), max_size=9), TRACE_SETS)
+def test_trace_matches_naive_machine_step_by_step(letters, tset):
+    assert_runs_as_naive_machine(tuple(letters), tset)
+
+
+@given(st.lists(st.sampled_from([1, 2, 2**64, 2**64 + 1, 10**30]), max_size=9), TRACE_SETS)
+def test_letters_past_any_bitmask_width_sort_as_the_naive_machine(letters, tset):
+    # the word stack slots letters by bisecting its sorted letters, which
+    # takes repeats and letters of any size, where 1 << x could not
+    assert_runs_as_naive_machine(tuple(letters), tset)
+
+
+def word_stack(patterns):
+    # the lists of an empty word stack: letters, states, letters sorted
+    return [], [machine._root(patterns)], []
 
 
 def oracle_admits(x, letters, tset):
@@ -153,34 +167,38 @@ def test_push_table_matches_pattern_of_oracle(moves, tset):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machine, "_tables", {})
         mp.setattr(machine, "_states_held", 0)
-        stack = _Stack(tset.patterns)
+        patterns = tset.patterns
+        stack, states, ranked = word_stack(patterns)
         for move in moves:
-            letters = list(stack.letters)
+            letters = list(stack)
             if move is None:
                 if letters:
-                    stack.pop()
+                    ranked.remove(stack.pop())
+                    states.pop()
                 continue
             for x in range(1, 8):  # every candidate, letters on the stack included
                 admits = oracle_admits(x, letters, tset)
-                assert _push_keeps_avoiding(x, stack) == admits
-                assert (_can_push(x, stack) is not False) == admits
-            assert stack.letters == letters
+                assert _push_keeps_avoiding(x, patterns, stack) == admits
+                assert (_can_push(x, patterns, stack, states, ranked) is not False) == admits
+            assert stack == letters
             expected, expected_out = list(letters), []
             while expected and not oracle_admits(move, expected, tset):
                 expected_out.append(expected.pop())
             out = []
-            _enter(move, stack, out)
+            _enter(move, patterns, stack, states, ranked, out)
             assert out == expected_out
-            assert stack.letters == expected + [move]
-            assert stack.ranked == sorted(stack.letters)
+            assert stack == expected + [move]
+            assert ranked == sorted(stack)
+            assert len(states) == len(stack) + 1
 
 
 def entered(mp, root, tset, word):
-    # a _Stack from `root` that has run _enter on each letter of word
+    # the word stack's lists from `root`, (letters, states, ranked), and the
+    # output, once _enter has run on each letter of word
     mp.setattr(machine, "_tables", {tset.patterns: root})
-    stack, out = _Stack(tset.patterns), []
+    stack, out = word_stack(tset.patterns), []
     for x in word:
-        _enter(x, stack, out)
+        _enter(x, tset.patterns, *stack, out)
     return stack, out
 
 
@@ -225,18 +243,18 @@ def test_push_and_back_match_stack_and_enter(perm, moves, tset):
             x = left[move % len(left)]
             stack, expected_out = entered(mp, twin, tset, word)
             start = counters()
-            _enter(x, stack, expected_out)
+            _enter(x, tset.patterns, *stack, expected_out)
             expected = [b - a for a, b in zip(start, counters())]
             saved.append((len(letters), mask, (letters[:], states[:], spent[:], out[:])))
             word.append(x)
             start = counters()
             mask = _push(x, mask, tset.patterns, letters, states, spent, out)
             assert [b - a for a, b in zip(start, counters())] == expected
-            assert (letters, out) == (stack.letters, expected_out)
+            assert (letters, out) == (stack[0], expected_out)
             assert mask == sum(1 << y for y in letters)
-            stack, _ = entered(mp, root, tset, word)
-            assert len(states) == len(stack.states)
-            assert all(map(operator.is_, states, stack.states))
+            (_, replayed, _), _ = entered(mp, root, tset, word)
+            assert len(states) == len(replayed)
+            assert all(map(operator.is_, states, replayed))
 
 
 def fresh_tables(monkeypatch):
@@ -323,15 +341,15 @@ def test_state_budget_reset_keeps_outputs(monkeypatch):
     assert resets
     # a run under way keeps its table when another run starts fresh ones
     w = words[2]
-    stack, out = _Stack(T_MAIN.patterns), []
+    stack, out = word_stack(T_MAIN.patterns), []
     for x in w[:4]:
-        _enter(x, stack, out)
+        _enter(x, T_MAIN.patterns, *stack, out)
     before = len(resets)
     sort_images(T_MAIN, 5)
     assert len(resets) > before
     for x in w[4:]:
-        _enter(x, stack, out)
-    assert tuple(out) + tuple(reversed(stack.letters)) == sort(w, T_MAIN)
+        _enter(x, T_MAIN.patterns, *stack, out)
+    assert tuple(out) + tuple(reversed(stack[0])) == sort(w, T_MAIN)
 
 
 def classical_sweep_push_tests(n):

@@ -41,3 +41,50 @@ def test_no_nested_function_refers_to_itself():
         for hit in self_referencing_nested_functions(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def module_definitions(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level: functions, classes and
+    names assigned."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def loaded_names(tree: ast.AST, imports: bool) -> set[str]:
+    """The names a module reads: each name loaded, each attribute, and, when
+    `imports`, each name a from-import brings in."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_definition_is_used():
+    # a definition nothing in the package or its tests reads is dead code;
+    # the package's __init__ re-exports names, which is not a use
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    used = set().union(
+        *(loaded_names(tree, path.name != "__init__.py") for path, tree in trees.items())
+    )
+    dead = [
+        f"{path.name}:{name}"
+        for path, tree in trees.items()
+        if path.parent == SRC and path.name != "__init__.py"
+        for name in sorted(module_definitions(tree) - used)
+    ]
+    assert dead == []
