@@ -11,10 +11,11 @@ pattern set (empty, length-1 pattern, non-permutation, or one unusable
 for the requested operation), 4 size cap exceeded.
 
 Sweeps refuse n above words.MAX_ENUM_N (12).  All output is deterministic
-and independent of --parallel, which is bounded by the sweep's first-letter
-jobs and the CPU count.  One command holds one process pool: the first
-sweep that needs workers starts it, the command's later sweeps share it,
-and it stops when the command ends.
+and independent of --parallel, which is bounded by the command's jobs
+(one per first letter for a single sweep, per pattern pair for table, per
+check unit for verify) and the CPU count.  A command uses workers only
+when its largest sweep is at n >= 7 (n! >= 5000).  One command holds one
+process pool, and it stops when the command ends.
 """
 
 from __future__ import annotations

@@ -27,11 +27,16 @@ stacks' states instead, which keeps no image, and whose second stage, the
 classical stack, is a plain list; the sweep, machine_images, is its oracle
 in the tests.  Each walk's memo is a plain dict private to one first
 letter, freed when that letter's job returns.  Functions taking a
-``workers`` argument split the tree by first letter across processes and
-merge deterministically, so output never depends on the worker count.
-One request holds one process pool (shared_pool): the first sweep that
-needs workers starts it, every later sweep in the request maps over it,
-and it stops when the request ends; build_sort_table is one request.
+``workers`` argument fan independent jobs out over processes (_fan_out)
+and keep the results in job order, so output never depends on the worker
+count: a single sweep has one job per first letter, build_sort_table one
+per pattern pair and verify.run_suites one per check unit, and the
+sweeps inside a row or a unit run serially.  One rule decides when a
+request starts workers: min(workers, jobs, CPUs) is above one and its
+largest sweep is at n >= 7 (n! >= 5000).
+One request holds one process pool (shared_pool): the first fan-out that
+needs workers starts it, every later one in the request maps over it,
+and it stops when the request ends.
 """
 
 from __future__ import annotations
@@ -193,22 +198,24 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     return images
 
 
-#: The open request's ExitStack (see shared_pool), or None outside one.
+#: The open request's ExitStack (see shared_pool), None outside one, or
+#: False in a pool worker, whose jobs never start workers of their own.
 _request = None
-#: The open request's process pool, once a sweep has started it.
+#: The open request's process pool, once a fan-out has started it.
 _pool = None
 
 
 @contextmanager
 def shared_pool():
-    """Hold one process pool for every sweep run inside the block.
+    """Hold one process pool for every fan-out run inside the block.
 
-    The first sweep that needs workers starts it, sized min(workers, n,
-    CPUs) by that sweep, and every later one maps over it, so the workers
-    keep the push-table states they learn.  It is shut down when the block
-    ends, on an exception too.  A block inside an open one joins it.  The
-    pool lives no longer than the outermost block, so no worker outlives
-    the request or carries code forked in one request into the next.
+    The first fan-out that needs workers starts it, sized by that
+    fan-out's jobs (see _fan_out), and every later one maps over it, so the
+    workers keep the push-table states they learn.  It is shut down when
+    the block ends, on an exception too.  A block inside an open one joins
+    it.  The pool lives no longer than the outermost block, so no worker
+    outlives the request or carries code forked in one request into the
+    next.
     """
     global _request, _pool
     if _request is not None:
@@ -221,26 +228,45 @@ def shared_pool():
             _request = _pool = None
 
 
-def _fan_out(subtree, tset: PatternSet, n: int, workers: int) -> list:
-    """Run subtree((tset, n, first)) for each first letter of S_n and
-    concatenate the parts in lexicographic input order.  From n! >= 5000
-    up, with min(workers, n, CPUs) above one, the jobs run over the open
-    request's pool, started here at that size if the request has none;
-    outside a request, this call is a request of its own."""
+def _forget_request() -> None:
+    """Start a pool worker outside its parent's request.  A forked worker
+    inherits the parent's request and a copy of its pool that no thread
+    serves, so a job that mapped over that copy would block forever; here
+    the worker's jobs run their fan-outs serially instead."""
+    global _request, _pool
+    _request, _pool = False, None
+
+
+def _fan_out(work, jobs: list, workers: int, n: int) -> list:
+    """[work(job) for job in jobs], the jobs being independent of each
+    other, n the largest size any of them sweeps.
+
+    This is the one rule for when a request starts workers: with
+    min(workers, len(jobs), CPUs) above one and n! >= 5000 (n >= 7), the
+    jobs run over the open request's pool, started here at that size if
+    the request has none; outside a request, this call is a request of its
+    own.  Otherwise, and always inside a pool worker, they run here."""
     global _pool
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers < 2 or factorial(n) < 5000 or _request is False:
+        return [work(job) for job in jobs]
+    with shared_pool():
+        if _pool is None:
+            _pool = _request.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_forget_request)
+            )
+        return list(_pool.map(work, jobs))
+
+
+def _sweep(subtree, tset: PatternSet, n: int, workers: int) -> list:
+    """Run subtree((tset, n, first)) for each first letter of S_n, one job
+    each for _fan_out, and concatenate the parts in lexicographic input
+    order."""
     if not 0 <= n <= MAX_ENUM_N:
         raise ValueError(f"exhaustive sweeps are capped at n <= {MAX_ENUM_N}")
     if n == 0:
         return [()]
-    jobs = [(tset, n, first) for first in range(1, n + 1)]
-    workers = min(workers, n, os.cpu_count() or 1)
-    if workers > 1 and factorial(n) >= 5000:
-        with shared_pool():
-            if _pool is None:
-                _pool = _request.enter_context(ProcessPoolExecutor(max_workers=workers))
-            parts = list(_pool.map(subtree, jobs))
-    else:
-        parts = [subtree(job) for job in jobs]
+    parts = _fan_out(subtree, [(tset, n, first) for first in range(1, n + 1)], workers, n)
     return [img for part in parts for img in part]
 
 
@@ -250,7 +276,7 @@ def sort_images(tset: PatternSet, n: int, workers: int = 1) -> list[Word]:
     Equal to [sort(p, tset) for p in enumerate_permutations(n)] but shares
     stack state across inputs with a common prefix.
     """
-    return _fan_out(_subtree_images, tset, n, workers)
+    return _sweep(_subtree_images, tset, n, workers)
 
 
 def sort_map(tset: PatternSet, n: int, workers: int = 1) -> dict[Word, Word]:
@@ -307,7 +333,7 @@ def _machine_subtree(args: tuple[PatternSet, int, int]) -> list[Word]:
 
 def machine_images(tset: PatternSet, n: int, workers: int = 1) -> list[Word]:
     """Two-stage machine outputs across S_n in lexicographic input order."""
-    return _fan_out(_machine_subtree, tset, n, workers)
+    return _sweep(_machine_subtree, tset, n, workers)
 
 
 def _feed(ys, two: list[int], m: int) -> int:
@@ -365,7 +391,7 @@ def _count_sorted(
 
 def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
     """How many permutations starting with `first` the two-stage machine
-    sorts, as a one-element part for _fan_out."""
+    sorts, as a one-element part for _sweep."""
     tset, n, first = args
     return [_count_sorted(*_begin(tset.patterns, n, (first,)), [], 0, {})]
 
@@ -400,7 +426,7 @@ def sort_count(tset: PatternSet, n: int, workers: int = 1) -> int:
     """
     if n < WALK_MIN_N:
         return machine_images(tset, n, workers).count(identity(n))
-    return sum(_fan_out(_subtree_count, tset, n, workers))
+    return sum(_sweep(_subtree_count, tset, n, workers))
 
 
 #: Previously reported counts for |sort_n| over all pairs of length-3
@@ -458,30 +484,38 @@ def _reference_note(counts: tuple[int, ...], refs, max_n: int) -> str:
     return f"DIFFERS from reference {refs[0]}" + dup
 
 
+def _table_row(job: tuple[PatternSet, int]) -> tuple[int, ...]:
+    """One pattern pair's counts for n = 1..max_n, computed serially, as
+    one job of the table for _fan_out."""
+    tset, max_n = job
+    return tuple(sort_count(tset, n) for n in range(1, max_n + 1))
+
+
 def build_sort_table(max_n: int, workers: int = 1) -> SortTable:
     """Identity-preimage counts of the two-stage machine over all 15 pairs
     of distinct length-3 patterns, for n = 1..max_n, with notes comparing
-    against the previously reported values.  The whole table is one
-    request, so its sweeps share one process pool."""
+    against the previously reported values.  Each pair's row is one job,
+    so the table is one request that maps its 15 rows once (see
+    _fan_out): from max_n = 7 up, with workers, every row runs in the
+    pool."""
     if not 1 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"table size must be 1..{MAX_ENUM_N}")
     cat_prefix = tuple(catalan(i) for i in range(1, max_n + 1))
+    pairs = list(itertools.combinations(LENGTH3_PATTERNS, 2))
+    jobs = [(pattern_set(sigma, tau), max_n) for sigma, tau in pairs]
     rows = []
-    with shared_pool():
-        for sigma, tau in itertools.combinations(LENGTH3_PATTERNS, 2):
-            tset = pattern_set(sigma, tau)
-            counts = tuple(sort_count(tset, n, workers) for n in range(1, max_n + 1))
-            refs = REFERENCE_COUNTS[(sigma, tau)]
-            rows.append(
-                SortTableRow(
-                    sigma=sigma,
-                    tau=tau,
-                    counts=counts,
-                    is_catalan=counts == cat_prefix,
-                    reference=refs,
-                    note=_reference_note(counts, refs, max_n),
-                )
+    for (sigma, tau), counts in zip(pairs, _fan_out(_table_row, jobs, workers, max_n)):
+        refs = REFERENCE_COUNTS[(sigma, tau)]
+        rows.append(
+            SortTableRow(
+                sigma=sigma,
+                tau=tau,
+                counts=counts,
+                is_catalan=counts == cat_prefix,
+                reference=refs,
+                note=_reference_note(counts, refs, max_n),
             )
+        )
     return SortTable(max_n, tuple(rows))
 
 

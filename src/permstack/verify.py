@@ -1,11 +1,17 @@
 """Named exhaustive verification suites behind the CLI ``verify`` command.
 
-Each suite sweeps S_n up to a cap and returns fine-grained Check records;
+Each suite sweeps S_n up to a cap and gives fine-grained Check records;
 a suite passes when every check does.  A check states its claim as an
 ordered, lazy search for counterexamples: it fails with the first one the
 search finds, described in its detail, and passes with an empty detail
 when the search runs out.  So a failing check stops sweeping at its first
 counterexample.
+
+A suite lists its checks as units, (fn, n, *args) with fn a module-level
+function and n the largest size it sweeps; fn(n, *args) returns one or
+more checks, and checks that share a sweep share a unit.  run_suites
+computes every unit of a run as one job (see dynamics._fan_out), so the
+units of all the suites it runs spread over one request's workers.
 
 Sweep sizes follow the suite's subject: the sharpness suite pushes
 length-4 patterns one length further than --max-n (capped at 8) because
@@ -51,40 +57,42 @@ def _small_pattern_sets() -> list[PatternSet]:
     return sets + [dyn.CLASSICAL_STACK]
 
 
-def suite_bijectivity(max_n: int, workers: int = 1) -> list[Check]:
-    """The first-two-swap criterion against exhaustive injectivity, and the
-    reverse-conjugate inverse when the criterion holds."""
-    checks = []
-    for tset in _small_pattern_sets():
-        label = format_patterns(tset)
-        crit = dyn.bijectivity_criterion(tset)
-        sweeps = ((n, dyn.verify_bijective(tset, n, workers)) for n in range(1, max_n + 1))
-        # the first collision, or None when every sweep is injective
-        first = next(((n, pair) for n, pair in sweeps if pair is not True), None)
-        if first is None:
-            found = f"no collision for n<={max_n}"
-        else:
-            n, (a, b) = first
-            found = f"{format_word(a)} and {format_word(b)} collide at n={n}"
+def _bijectivity_checks(max_n: int, tset: PatternSet) -> list[Check]:
+    label = format_patterns(tset)
+    crit = dyn.bijectivity_criterion(tset)
+    sweeps = ((n, dyn.verify_bijective(tset, n)) for n in range(1, max_n + 1))
+    # the first collision, or None when every sweep is injective
+    first = next(((n, pair) for n, pair in sweeps if pair is not True), None)
+    if first is None:
+        found = f"no collision for n<={max_n}"
+    else:
+        n, (a, b) = first
+        found = f"{format_word(a)} and {format_word(b)} collide at n={n}"
+    checks = [
+        _check(
+            f"bijectivity criterion vs sweep {{{label}}}",
+            [] if crit == (first is None) else [f"criterion={crit} but {found}"],
+        )
+    ]
+    if crit:
         checks.append(
             _check(
-                f"bijectivity criterion vs sweep {{{label}}}",
-                [] if crit == (first is None) else [f"criterion={crit} but {found}"],
+                f"inverse round-trip {{{label}}}",
+                (
+                    f"fails at {format_word(p)}"
+                    for n in range(1, max_n + 1)
+                    for p in enumerate_permutations(n)
+                    if dyn.inverse_sort(sort(p, tset), tset) != p
+                ),
             )
         )
-        if crit:
-            checks.append(
-                _check(
-                    f"inverse round-trip {{{label}}}",
-                    (
-                        f"fails at {format_word(p)}"
-                        for n in range(1, max_n + 1)
-                        for p in enumerate_permutations(n)
-                        if dyn.inverse_sort(sort(p, tset), tset) != p
-                    ),
-                )
-            )
     return checks
+
+
+def suite_bijectivity(max_n: int) -> list[tuple]:
+    """The first-two-swap criterion against exhaustive injectivity, and the
+    reverse-conjugate inverse when the criterion holds."""
+    return [(_bijectivity_checks, max_n, tset) for tset in _small_pattern_sets()]
 
 
 RECURSION_SETS = (
@@ -97,8 +105,7 @@ RECURSION_SETS = (
 )
 
 
-def suite_recursion(max_n: int, workers: int = 1) -> list[Check]:
-    """Simulation against the clumping recurrence, letter for letter."""
+def _recursion_checks(max_n: int, tset: PatternSet) -> list[Check]:
     return [
         _check(
             f"recursion oracle {{{format_patterns(tset)}}} n<={max_n}",
@@ -106,12 +113,16 @@ def suite_recursion(max_n: int, workers: int = 1) -> list[Check]:
                 f"{format_word(p)}: simulation {format_word(img)}"
                 f" vs recursion {format_word(sort_recursive(p, tset))}"
                 for n in range(0, max_n + 1)
-                for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n, workers))
+                for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n))
                 if sort_recursive(p, tset) != img
             ),
         )
-        for tset in RECURSION_SETS
     ]
+
+
+def suite_recursion(max_n: int) -> list[tuple]:
+    """Simulation against the clumping recurrence, letter for letter."""
+    return [(_recursion_checks, max_n, tset) for tset in RECURSION_SETS]
 
 
 BOUND_SETS = (
@@ -127,11 +138,11 @@ BOUND_SETS = (
 AGREEMENT_CAP = 6
 
 
-def _bound_failures(tset: PatternSet, max_n: int, workers: int) -> Iterator[str]:
+def _bound_failures(tset: PatternSet, max_n: int) -> Iterator[str]:
     k = tset.min_len
     for n in range(max(1, k - 2), max_n + 1):
         bound = catalan(n - k + 2)
-        table = dyn.preimage_map(tset, n, workers)
+        table = dyn.preimage_map(tset, n)
         over = (g for g, ps in table.items() if len(ps) > bound)
         disagree = (
             g
@@ -142,20 +153,23 @@ def _bound_failures(tset: PatternSet, max_n: int, workers: int) -> Iterator[str]
             yield f"fails at n={n}, {format_word(g)}"
 
 
-def suite_bound(max_n: int, workers: int = 1) -> list[Check]:
-    """Preimage counts never exceed catalan(n - k + 2); the output-guided
-    preimage search returns, for every target, the preimage set that one
-    sweep of S_n tabulates."""
+def _bound_checks(max_n: int, tset: PatternSet) -> list[Check]:
     return [
         _check(
             f"preimage bound and agreement {{{format_patterns(tset)}}} n<={max_n}",
-            _bound_failures(tset, max_n, workers),
+            _bound_failures(tset, max_n),
         )
-        for tset in BOUND_SETS
     ]
 
 
-def _sharpness_failures(pattern: Word, sharp: bool, max_n: int, workers: int) -> Iterator[str]:
+def suite_bound(max_n: int) -> list[tuple]:
+    """Preimage counts never exceed catalan(n - k + 2); the output-guided
+    preimage search returns, for every target, the preimage set that one
+    sweep of S_n tabulates."""
+    return [(_bound_checks, max_n, tset) for tset in BOUND_SETS]
+
+
+def _sharpness_failures(pattern: Word, sharp: bool, max_n: int) -> Iterator[str]:
     """One rule per n: the bound is met exactly when the first two letters
     are consecutive (sharp), and never passed; for sharp patterns the
     extremal target is also a witness whose preimages are the family."""
@@ -164,7 +178,7 @@ def _sharpness_failures(pattern: Word, sharp: bool, max_n: int, workers: int) ->
     miss = "!=" if sharp else "reaches"
     # at n = k every pattern meets the bound, so only sharp ones start there
     for n in range(k if sharp else k + 1, max_n + 1):
-        rep = dyn.fertility_max(tset, n, workers)
+        rep = dyn.fertility_max(tset, n)
         bound = catalan(n - k + 2)
         if rep.max_count > bound or (rep.max_count == bound) != sharp:
             yield f"n={n}: max {rep.max_count} {miss} bound {bound}"
@@ -176,75 +190,79 @@ def _sharpness_failures(pattern: Word, sharp: bool, max_n: int, workers: int) ->
                 yield f"n={n}: family mismatch"
 
 
-def suite_sharpness(max_n: int, workers: int = 1) -> list[Check]:
+def _sharpness_checks(cap: int, pattern: Word) -> list[Check]:
+    sharp = abs(pattern[0] - pattern[1]) == 1
+    name = f"{'sharp bound met' if sharp else 'bound unattained'} ({format_word(pattern)})"
+    return [_check(name, _sharpness_failures(pattern, sharp, cap))]
+
+
+def suite_sharpness(max_n: int) -> list[tuple]:
     """Single-pattern fertility: the Catalan bound is met exactly when the
     pattern's first two letters are consecutive, with the extremal target
     and family realizing it."""
-    catalogue = [(p, max_n) for p in dyn.LENGTH3_PATTERNS]
-    catalogue += [(p, min(max_n + 1, 8)) for p in itertools.permutations((1, 2, 3, 4))]
-    checks = []
-    for pattern, cap in catalogue:
-        sharp = abs(pattern[0] - pattern[1]) == 1
-        name = f"{'sharp bound met' if sharp else 'bound unattained'} ({format_word(pattern)})"
-        checks.append(_check(name, _sharpness_failures(pattern, sharp, cap, workers)))
+    units = [(_sharpness_checks, max_n, p) for p in dyn.LENGTH3_PATTERNS]
+    cap = min(max_n + 1, 8)
+    return units + [(_sharpness_checks, cap, p) for p in itertools.permutations((1, 2, 3, 4))]
+
+
+def _periodic_checks(n: int) -> list[Check]:
+    """The periodic suite's checks at one n, which share one partition."""
+    tset = pattern_set("123", "132")
+    cycle_len = (n + 2) // 2
+    cycles = dyn.orbit_partition(tset, n)
+    points = {p for cycle in cycles for p in cycle}
+    half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
+    checks = [
+        _check(
+            f"periodic set is half-decreasing set (n={n})",
+            (
+                f"{format_word(p)} is periodic but not half-decreasing"
+                if p in points
+                else f"{format_word(p)} is half-decreasing but not periodic"
+                for p in sorted(points ^ half_dec)
+            ),
+        )
+    ]
+    counts_ok = (
+        len(half_dec) == factorial((n + 2) // 2)
+        and len(cycles) == factorial(n // 2)
+        and all(len(c) == cycle_len for c in cycles)
+    )
+    checks.append(
+        _check(
+            f"cycle sizes and counts (n={n})",
+            [] if counts_ok else [f"{len(cycles)} cycles of sizes {sorted(set(map(len, cycles)))}"],
+        )
+    )
+    if n >= 3:
+        checks.append(
+            _check(
+                f"closed form matches simulation (n={n})",
+                (
+                    f"fails at {format_word(p)}"
+                    for p in half_dec
+                    if dyn.half_decreasing_step(p) != sort(p, tset)
+                ),
+            )
+        )
+    checks.append(
+        _check(
+            f"every orbit reaches half-decreasing (n={n})",
+            (
+                f"fails at {format_word(rep.start)}"
+                for rep in (dyn.orbit(p, tset) for p in enumerate_permutations(n))
+                if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
+            ),
+        )
+    )
     return checks
 
 
-def suite_periodic(max_n: int, workers: int = 1) -> list[Check]:
+def suite_periodic(max_n: int) -> list[tuple]:
     """Orbit structure of the {123,132}-avoiding stack: the periodic points
     are exactly the half-decreasing permutations, in (n//2)! cycles all of
     length ceil((n+1)/2), and every start falls into them."""
-    tset = pattern_set("123", "132")
-    checks = []
-    for n in range(1, max_n + 1):
-        cycle_len = (n + 2) // 2
-        cycles = dyn.orbit_partition(tset, n, workers)
-        points = {p for cycle in cycles for p in cycle}
-        half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
-        checks.append(
-            _check(
-                f"periodic set is half-decreasing set (n={n})",
-                (
-                    f"{format_word(p)} is periodic but not half-decreasing"
-                    if p in points
-                    else f"{format_word(p)} is half-decreasing but not periodic"
-                    for p in sorted(points ^ half_dec)
-                ),
-            )
-        )
-        counts_ok = (
-            len(half_dec) == factorial((n + 2) // 2)
-            and len(cycles) == factorial(n // 2)
-            and all(len(c) == cycle_len for c in cycles)
-        )
-        checks.append(
-            _check(
-                f"cycle sizes and counts (n={n})",
-                [] if counts_ok else [f"{len(cycles)} cycles of sizes {sorted(set(map(len, cycles)))}"],
-            )
-        )
-        if n >= 3:
-            checks.append(
-                _check(
-                    f"closed form matches simulation (n={n})",
-                    (
-                        f"fails at {format_word(p)}"
-                        for p in half_dec
-                        if dyn.half_decreasing_step(p) != sort(p, tset)
-                    ),
-                )
-            )
-        checks.append(
-            _check(
-                f"every orbit reaches half-decreasing (n={n})",
-                (
-                    f"fails at {format_word(rep.start)}"
-                    for rep in (dyn.orbit(p, tset) for p in enumerate_permutations(n))
-                    if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
-                ),
-            )
-        )
-    return checks
+    return [(_periodic_checks, n) for n in range(1, max_n + 1)]
 
 
 COMPLEMENT_SETS = (
@@ -254,60 +272,67 @@ COMPLEMENT_SETS = (
 )
 
 
-def suite_complement(max_n: int, workers: int = 1) -> list[Check]:
-    """Complementing input and patterns complements the output."""
+def _complement_checks(max_n: int, tset: PatternSet) -> list[Check]:
     return [
         _check(
             f"complement conjugation {{{format_patterns(tset)}}} n<={max_n}",
             (
                 f"fails at n={n}"
                 for n in range(1, max_n + 1)
-                if not dyn.complement_conjugation_check(tset, n, workers)
+                if not dyn.complement_conjugation_check(tset, n)
             ),
         )
-        for tset in COMPLEMENT_SETS
     ]
+
+
+def suite_complement(max_n: int) -> list[tuple]:
+    """Complementing input and patterns complements the output."""
+    return [(_complement_checks, max_n, tset) for tset in COMPLEMENT_SETS]
 
 
 MACHINE_CATALAN_PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
-def suite_machine_catalan(max_n: int, workers: int = 1) -> list[Check]:
+def _machine_catalan_checks(max_n: int, p: Word) -> list[Check]:
+    expected = [catalan(n) for n in range(1, max_n + 1)]
+    q = (p[1], p[0]) + p[2:]
+    tset = pattern_set(p, q)
+    counts = [dyn.sort_count(tset, n) for n in range(1, max_n + 1)]
+    return [
+        _check(
+            f"machine catalan counts ({format_word(p)},{format_word(q)}) n<={max_n}",
+            [] if counts == expected else [f"got {counts}, expected {expected}"],
+        )
+    ]
+
+
+def suite_machine_catalan(max_n: int) -> list[tuple]:
     """Pair a pattern with its first-two swap and the two-stage machine
     sorts exactly catalan(n) permutations to the identity."""
-    expected = [catalan(n) for n in range(1, max_n + 1)]
-    checks = []
-    for p in MACHINE_CATALAN_PATTERNS:
-        q = (p[1], p[0]) + p[2:]
-        tset = pattern_set(p, q)
-        counts = [dyn.sort_count(tset, n, workers) for n in range(1, max_n + 1)]
-        checks.append(
-            _check(
-                f"machine catalan counts ({format_word(p)},{format_word(q)}) n<={max_n}",
-                [] if counts == expected else [f"got {counts}, expected {expected}"],
-            )
-        )
-    return checks
+    return [(_machine_catalan_checks, max_n, p) for p in MACHINE_CATALAN_PATTERNS]
 
 
 CONJECTURE_SETS = (pattern_set("132", "213"), pattern_set("231", "213"))
 
 
-def suite_conjectures(max_n: int, workers: int = 1) -> list[Check]:
-    """Only the identity and its reverse should be periodic for these maps;
-    a counterexample is reported verbatim rather than assumed away."""
+def _conjecture_checks(max_n: int, tset: PatternSet) -> list[Check]:
     return [
         _check(
             f"only trivial periodic points {{{format_patterns(tset)}}} n<={max_n}",
             (
                 f"counterexample at n={n}: {format_word(witness)}"
                 for n in range(1, max_n + 1)
-                for ok, witness in [dyn.trivial_periodic_points_only(tset, n, workers)]
+                for ok, witness in [dyn.trivial_periodic_points_only(tset, n)]
                 if not ok
             ),
         )
-        for tset in CONJECTURE_SETS
     ]
+
+
+def suite_conjectures(max_n: int) -> list[tuple]:
+    """Only the identity and its reverse should be periodic for these maps;
+    a counterexample is reported verbatim rather than assumed away."""
+    return [(_conjecture_checks, max_n, tset) for tset in CONJECTURE_SETS]
 
 
 SUITES = {
@@ -322,11 +347,16 @@ SUITES = {
 }
 
 
+def _run_unit(unit: tuple) -> list[Check]:
+    fn, *args = unit
+    return fn(*args)
+
+
 def run_suites(names: list[str], max_n: int, workers: int = 1) -> list[Check]:
-    """The named suites' checks in order; the run is one request, so every
-    sweep in it shares one process pool (dynamics.shared_pool)."""
-    checks = []
-    with dyn.shared_pool():
-        for name in names:
-            checks.extend(SUITES[name](max_n, workers))
-    return checks
+    """The named suites' checks in order.  Every unit of every suite named
+    is one job of a single fan-out (dynamics._fan_out), sized by the
+    largest n any unit sweeps, so the run is one request that maps its
+    units once; the sweeps inside a unit run serially."""
+    units = [unit for name in names for unit in SUITES[name](max_n)]
+    parts = dyn._fan_out(_run_unit, units, workers, max((u[1] for u in units), default=0))
+    return [check for part in parts for check in part]

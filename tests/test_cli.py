@@ -235,9 +235,14 @@ def test_verify_all_tiny(capsys):
     assert out == golden.read_text()
 
 
-def test_parallel_output_is_byte_identical(capsys):
-    _, out1, _ = run(capsys, "table", "--max-n", "4", "--format", "csv", "--parallel", "1")
-    _, out2, _ = run(capsys, "table", "--max-n", "4", "--format", "csv", "--parallel", "2")
+def test_parallel_output_is_byte_identical(capsys, monkeypatch):
+    # with two CPUs, table and verify at max-n 7 start a pool at --parallel 2
+    monkeypatch.setattr(cli.dyn.os, "cpu_count", lambda: 2)
+    _, out1, _ = run(capsys, "table", "--max-n", "7", "--format", "csv", "--parallel", "1")
+    _, out2, _ = run(capsys, "table", "--max-n", "7", "--format", "csv", "--parallel", "2")
+    assert out1 == out2
+    _, out1, _ = run(capsys, "verify", "--suite", "periodic", "--max-n", "7", "--parallel", "1")
+    _, out2, _ = run(capsys, "verify", "--suite", "periodic", "--max-n", "7", "--parallel", "2")
     assert out1 == out2
     _, out1, _ = run(capsys, "periodic", "--patterns", "123,132", "--n", "6",
                      "--format", "json", "--parallel", "1")

@@ -4,6 +4,7 @@ fertility, extremal constructions, complement conjugation, and orbits."""
 import gc
 import itertools
 import multiprocessing
+import threading
 from collections import Counter
 from math import factorial
 
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import machine_sort
 from permstack import dynamics as dyn, machine
 from permstack.machine import clumping, legal_movement_sequences, sort, sort_recursive
-from permstack.verify import COMPLEMENT_SETS, RECURSION_SETS, _small_pattern_sets, run_suites
+from permstack.verify import (
+    COMPLEMENT_SETS,
+    RECURSION_SETS,
+    SUITES,
+    _small_pattern_sets,
+    run_suites,
+)
 from permstack.words import (
     catalan,
     complement,
@@ -176,7 +183,7 @@ def test_sort_count_matches_machine_images():
             want = dyn.machine_images(tset, n).count(identity(n))
             assert dyn.sort_count(tset, n) == want, (first, second, n)
             if n:
-                walk = sum(dyn._fan_out(dyn._subtree_count, tset, n, 1))
+                walk = sum(dyn._sweep(dyn._subtree_count, tset, n, 1))
                 assert walk == want, (first, second, n)
 
 
@@ -192,7 +199,7 @@ def test_table_walk_matches_machine_images_random_sets(patterns):
     # the walk runs for any pattern set, not only the 15 pairs above
     tset = pattern_set(*map(tuple, patterns))
     for n in range(1, 7):
-        walk = sum(dyn._fan_out(dyn._subtree_count, tset, n, 1))
+        walk = sum(dyn._sweep(dyn._subtree_count, tset, n, 1))
         assert walk == dyn.machine_images(tset, n).count(identity(n)), n
 
 
@@ -522,7 +529,7 @@ def test_workers_clamped_to_jobs_and_cpus(monkeypatch):
     requested = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             requested.append(max_workers)
 
         def __enter__(self):
@@ -541,7 +548,10 @@ def test_workers_clamped_to_jobs_and_cpus(monkeypatch):
     assert dyn.sort_count(pattern_set("132", "312"), 7, workers=10_000) == catalan(7)
     monkeypatch.setattr(dyn.os, "cpu_count", lambda: None)
     dyn.sort_images(T_MAIN, 7, workers=10_000)
-    assert requested == [7, 3]
+    monkeypatch.setattr(dyn.os, "cpu_count", lambda: 64)
+    # one job per pattern pair
+    assert dyn.build_sort_table(7, workers=10_000) == dyn.build_sort_table(7)
+    assert requested == [7, 3, 15]
 
 
 @pytest.fixture
@@ -551,9 +561,9 @@ def pools(monkeypatch):
     counts = Counter()
 
     class CountingPool(dyn.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             counts["starts"] += 1
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, initializer=initializer)
 
         def map(self, fn, jobs):
             counts["maps"] += 1
@@ -566,19 +576,47 @@ def pools(monkeypatch):
 
 
 def test_table_is_one_request_with_one_pool(pools):
-    # the 15 sweeps at n = 7 share the pool the first one starts
+    # the 15 rows at max_n = 7 are the jobs of one map
     assert dyn.build_sort_table(7, 2) == dyn.build_sort_table(7)
-    assert pools == {"starts": 1, "maps": 15}
+    assert pools == {"starts": 1, "maps": 1}
     assert multiprocessing.active_children() == []
 
 
 def test_suite_run_is_one_request_with_one_pool(pools):
-    names = ["periodic", "machine-catalan"]
-    pooled = run_suites(names, 7, 2)
-    assert pools["starts"] == 1 and pools["maps"] > 1
+    # every suite at max-n 6, the least that pools: sharpness takes its
+    # length-4 patterns to n = 7
+    names = list(SUITES)
+    pooled = run_suites(names, 6, 2)
+    assert pools == {"starts": 1, "maps": 1}
     assert multiprocessing.active_children() == []
     # names, verdicts and failure details
-    assert pooled == run_suites(names, 7)
+    assert pooled == run_suites(names, 6)
+
+
+def _asks_for_workers(n):
+    return dyn.sort_images(pattern_set("21"), n, 2)
+
+
+def test_job_asking_for_workers_runs_serially(pools):
+    # a forked worker inherits the parent's request and a copy of its pool
+    # that nothing serves, so a job mapping over that copy would block for
+    # ever: the request runs in a thread given a time limit
+    done = []
+
+    def request():
+        with dyn.shared_pool():
+            done.append(dyn._fan_out(_asks_for_workers, [7, 7], 2, 7))
+
+    thread = threading.Thread(target=request)
+    thread.start()
+    thread.join(timeout=30)
+    if thread.is_alive():
+        for child in multiprocessing.active_children():
+            child.kill()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert done == [[dyn.sort_images(pattern_set("21"), 7)] * 2]
+    assert pools == {"starts": 1, "maps": 1}
 
 
 def test_serial_sweeps_stay_serial_inside_a_request(pools):

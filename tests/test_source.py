@@ -88,3 +88,23 @@ def test_every_module_definition_is_used():
         for name in sorted(module_definitions(tree) - used)
     ]
     assert dead == []
+
+
+def pool_constructions(tree: ast.AST) -> list[int]:
+    """The lines that call ProcessPoolExecutor, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "ProcessPoolExecutor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_process_pool_is_constructed_in_one_place():
+    # the fan-out is written once: every request's workers start there
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in pool_constructions(ast.parse(path.read_text()))
+    ]
+    assert len(found) == 1, found
