@@ -233,8 +233,8 @@ def _forget_request() -> None:
     inherits the parent's request and a copy of its pool that no thread
     serves, so a job that mapped over that copy would block forever; here
     the worker's jobs run their fan-outs serially instead."""
-    global _request, _pool
-    _request, _pool = False, None
+    global _request
+    _request = False
 
 
 def _fan_out(work, jobs: list, workers: int, n: int) -> list:
@@ -245,7 +245,9 @@ def _fan_out(work, jobs: list, workers: int, n: int) -> list:
     min(workers, len(jobs), CPUs) above one and n! >= 5000 (n >= 7), the
     jobs run over the open request's pool, started here at that size if
     the request has none; outside a request, this call is a request of its
-    own.  Otherwise, and always inside a pool worker, they run here."""
+    own.  Otherwise they run here.  A job runs its own sweeps serially:
+    the jobs of the table and of verify pass workers = 1, and inside a
+    pool worker every fan-out runs here (see _forget_request)."""
     global _pool
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers < 2 or factorial(n) < 5000 or _request is False:

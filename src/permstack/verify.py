@@ -4,14 +4,18 @@ Each suite sweeps S_n up to a cap and gives fine-grained Check records;
 a suite passes when every check does.  A check states its claim as an
 ordered, lazy search for counterexamples: it fails with the first one the
 search finds, described in its detail, and passes with an empty detail
-when the search runs out.  So a failing check stops sweeping at its first
-counterexample.
+when the search runs out.
 
 A suite lists its checks as units, (fn, n, *args) with fn a module-level
 function and n the largest size it sweeps; fn(n, *args) returns one or
-more checks, and checks that share a sweep share a unit.  run_suites
-computes every unit of a run as one job (see dynamics._fan_out), so the
-units of all the suites it runs spread over one request's workers.
+more checks, and checks that share a sweep share a unit.  A check that
+searches S_1, S_2, ... in turn has one unit per n (periodic's orbit
+check one per n and first letter), each a part that searches its
+permutations in order and stops at its first counterexample; run_suites
+joins consecutive parts of one name into the first part that fails, or
+the first part.  run_suites computes every unit of a run as one job (see
+dynamics._fan_out), so the units of all the suites it runs spread over
+one request's workers.
 
 Sweep sizes follow the suite's subject: the sharpness suite pushes
 length-4 patterns one length further than --max-n (capped at 8) because
@@ -25,6 +29,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import factorial
+from operator import attrgetter
 
 from . import dynamics as dyn
 from .machine import sort, sort_recursive
@@ -105,14 +110,13 @@ RECURSION_SETS = (
 )
 
 
-def _recursion_checks(max_n: int, tset: PatternSet) -> list[Check]:
+def _recursion_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
     return [
         _check(
             f"recursion oracle {{{format_patterns(tset)}}} n<={max_n}",
             (
                 f"{format_word(p)}: simulation {format_word(img)}"
                 f" vs recursion {format_word(sort_recursive(p, tset))}"
-                for n in range(0, max_n + 1)
                 for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n))
                 if sort_recursive(p, tset) != img
             ),
@@ -122,7 +126,11 @@ def _recursion_checks(max_n: int, tset: PatternSet) -> list[Check]:
 
 def suite_recursion(max_n: int) -> list[tuple]:
     """Simulation against the clumping recurrence, letter for letter."""
-    return [(_recursion_checks, max_n, tset) for tset in RECURSION_SETS]
+    return [
+        (_recursion_checks, n, tset, max_n)
+        for tset in RECURSION_SETS
+        for n in range(0, max_n + 1)
+    ]
 
 
 BOUND_SETS = (
@@ -138,26 +146,27 @@ BOUND_SETS = (
 AGREEMENT_CAP = 6
 
 
-def _bound_failures(tset: PatternSet, max_n: int) -> Iterator[str]:
+def _bound_failures(tset: PatternSet, n: int) -> Iterator[str]:
     k = tset.min_len
-    for n in range(max(1, k - 2), max_n + 1):
-        bound = catalan(n - k + 2)
-        table = dyn.preimage_map(tset, n)
-        over = (g for g, ps in table.items() if len(ps) > bound)
-        disagree = (
-            g
-            for g in (enumerate_permutations(n) if n <= AGREEMENT_CAP else ())
-            if dyn.preimages(g, tset) != table.get(g, set())
-        )
-        for g in itertools.chain(over, disagree):
-            yield f"fails at n={n}, {format_word(g)}"
+    if n < k - 2:
+        return
+    bound = catalan(n - k + 2)
+    table = dyn.preimage_map(tset, n)
+    over = (g for g, ps in table.items() if len(ps) > bound)
+    disagree = (
+        g
+        for g in (enumerate_permutations(n) if n <= AGREEMENT_CAP else ())
+        if dyn.preimages(g, tset) != table.get(g, set())
+    )
+    for g in itertools.chain(over, disagree):
+        yield f"fails at n={n}, {format_word(g)}"
 
 
-def _bound_checks(max_n: int, tset: PatternSet) -> list[Check]:
+def _bound_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
     return [
         _check(
             f"preimage bound and agreement {{{format_patterns(tset)}}} n<={max_n}",
-            _bound_failures(tset, max_n),
+            _bound_failures(tset, n),
         )
     ]
 
@@ -166,47 +175,56 @@ def suite_bound(max_n: int) -> list[tuple]:
     """Preimage counts never exceed catalan(n - k + 2); the output-guided
     preimage search returns, for every target, the preimage set that one
     sweep of S_n tabulates."""
-    return [(_bound_checks, max_n, tset) for tset in BOUND_SETS]
+    return [
+        (_bound_checks, n, tset, max_n)
+        for tset in BOUND_SETS
+        for n in range(1, max_n + 1)
+    ]
 
 
-def _sharpness_failures(pattern: Word, sharp: bool, max_n: int) -> Iterator[str]:
-    """One rule per n: the bound is met exactly when the first two letters
+def _sharpness_failures(pattern: Word, sharp: bool, n: int) -> Iterator[str]:
+    """The rule at n: the bound is met exactly when the first two letters
     are consecutive (sharp), and never passed; for sharp patterns the
     extremal target is also a witness whose preimages are the family."""
     k = len(pattern)
-    tset = PatternSet(frozenset({pattern}))
-    miss = "!=" if sharp else "reaches"
     # at n = k every pattern meets the bound, so only sharp ones start there
-    for n in range(k if sharp else k + 1, max_n + 1):
-        rep = dyn.fertility_max(tset, n)
-        bound = catalan(n - k + 2)
-        if rep.max_count > bound or (rep.max_count == bound) != sharp:
-            yield f"n={n}: max {rep.max_count} {miss} bound {bound}"
-        if sharp:
-            target = dyn.extremal_target(pattern, n)
-            if target not in rep.witnesses:
-                yield f"n={n}: target {format_word(target)} not a witness"
-            if dyn.preimages(target, tset) != dyn.extremal_family(pattern, n):
-                yield f"n={n}: family mismatch"
+    if n < (k if sharp else k + 1):
+        return
+    tset = PatternSet(frozenset({pattern}))
+    rep = dyn.fertility_max(tset, n)
+    bound = catalan(n - k + 2)
+    if rep.max_count > bound or (rep.max_count == bound) != sharp:
+        yield f"n={n}: max {rep.max_count} {'!=' if sharp else 'reaches'} bound {bound}"
+    if sharp:
+        target = dyn.extremal_target(pattern, n)
+        if target not in rep.witnesses:
+            yield f"n={n}: target {format_word(target)} not a witness"
+        if dyn.preimages(target, tset) != dyn.extremal_family(pattern, n):
+            yield f"n={n}: family mismatch"
 
 
-def _sharpness_checks(cap: int, pattern: Word) -> list[Check]:
+def _sharpness_checks(n: int, pattern: Word) -> list[Check]:
     sharp = abs(pattern[0] - pattern[1]) == 1
     name = f"{'sharp bound met' if sharp else 'bound unattained'} ({format_word(pattern)})"
-    return [_check(name, _sharpness_failures(pattern, sharp, cap))]
+    return [_check(name, _sharpness_failures(pattern, sharp, n))]
 
 
 def suite_sharpness(max_n: int) -> list[tuple]:
     """Single-pattern fertility: the Catalan bound is met exactly when the
     pattern's first two letters are consecutive, with the extremal target
     and family realizing it."""
-    units = [(_sharpness_checks, max_n, p) for p in dyn.LENGTH3_PATTERNS]
-    cap = min(max_n + 1, 8)
-    return units + [(_sharpness_checks, cap, p) for p in itertools.permutations((1, 2, 3, 4))]
+    caps = [(p, max_n) for p in dyn.LENGTH3_PATTERNS]
+    caps += [(p, min(max_n + 1, 8)) for p in itertools.permutations((1, 2, 3, 4))]
+    # the parts below n = k find nothing; one is kept when cap < k
+    return [
+        (_sharpness_checks, n, p)
+        for p, cap in caps
+        for n in range(min(len(p), cap), cap + 1)
+    ]
 
 
 def _periodic_checks(n: int) -> list[Check]:
-    """The periodic suite's checks at one n, which share one partition."""
+    """The periodic suite's checks at one n that share one partition."""
     tset = pattern_set("123", "132")
     cycle_len = (n + 2) // 2
     cycles = dyn.orbit_partition(tset, n)
@@ -245,24 +263,37 @@ def _periodic_checks(n: int) -> list[Check]:
                 ),
             )
         )
-    checks.append(
+    return checks
+
+
+def _orbit_checks(n: int, first: int) -> list[Check]:
+    """The orbit check's part over the permutations starting with `first`,
+    (n-1)! consecutive ones in lexicographic order."""
+    tset = pattern_set("123", "132")
+    starts = itertools.islice(
+        enumerate_permutations(n), (first - 1) * factorial(n - 1), first * factorial(n - 1)
+    )
+    return [
         _check(
             f"every orbit reaches half-decreasing (n={n})",
             (
                 f"fails at {format_word(rep.start)}"
-                for rep in (dyn.orbit(p, tset) for p in enumerate_permutations(n))
+                for rep in (dyn.orbit(p, tset) for p in starts)
                 if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
             ),
         )
-    )
-    return checks
+    ]
 
 
 def suite_periodic(max_n: int) -> list[tuple]:
     """Orbit structure of the {123,132}-avoiding stack: the periodic points
     are exactly the half-decreasing permutations, in (n//2)! cycles all of
     length ceil((n+1)/2), and every start falls into them."""
-    return [(_periodic_checks, n) for n in range(1, max_n + 1)]
+    return [
+        unit
+        for n in range(1, max_n + 1)
+        for unit in [(_periodic_checks, n), *((_orbit_checks, n, f) for f in range(1, n + 1))]
+    ]
 
 
 COMPLEMENT_SETS = (
@@ -272,22 +303,22 @@ COMPLEMENT_SETS = (
 )
 
 
-def _complement_checks(max_n: int, tset: PatternSet) -> list[Check]:
+def _complement_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
     return [
         _check(
             f"complement conjugation {{{format_patterns(tset)}}} n<={max_n}",
-            (
-                f"fails at n={n}"
-                for n in range(1, max_n + 1)
-                if not dyn.complement_conjugation_check(tset, n)
-            ),
+            [] if dyn.complement_conjugation_check(tset, n) else [f"fails at n={n}"],
         )
     ]
 
 
 def suite_complement(max_n: int) -> list[tuple]:
     """Complementing input and patterns complements the output."""
-    return [(_complement_checks, max_n, tset) for tset in COMPLEMENT_SETS]
+    return [
+        (_complement_checks, n, tset, max_n)
+        for tset in COMPLEMENT_SETS
+        for n in range(1, max_n + 1)
+    ]
 
 
 MACHINE_CATALAN_PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
@@ -315,16 +346,12 @@ def suite_machine_catalan(max_n: int) -> list[tuple]:
 CONJECTURE_SETS = (pattern_set("132", "213"), pattern_set("231", "213"))
 
 
-def _conjecture_checks(max_n: int, tset: PatternSet) -> list[Check]:
+def _conjecture_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
+    ok, witness = dyn.trivial_periodic_points_only(tset, n)
     return [
         _check(
             f"only trivial periodic points {{{format_patterns(tset)}}} n<={max_n}",
-            (
-                f"counterexample at n={n}: {format_word(witness)}"
-                for n in range(1, max_n + 1)
-                for ok, witness in [dyn.trivial_periodic_points_only(tset, n)]
-                if not ok
-            ),
+            [] if ok else [f"counterexample at n={n}: {format_word(witness)}"],
         )
     ]
 
@@ -332,7 +359,11 @@ def _conjecture_checks(max_n: int, tset: PatternSet) -> list[Check]:
 def suite_conjectures(max_n: int) -> list[tuple]:
     """Only the identity and its reverse should be periodic for these maps;
     a counterexample is reported verbatim rather than assumed away."""
-    return [(_conjecture_checks, max_n, tset) for tset in CONJECTURE_SETS]
+    return [
+        (_conjecture_checks, n, tset, max_n)
+        for tset in CONJECTURE_SETS
+        for n in range(1, max_n + 1)
+    ]
 
 
 SUITES = {
@@ -356,7 +387,13 @@ def run_suites(names: list[str], max_n: int, workers: int = 1) -> list[Check]:
     """The named suites' checks in order.  Every unit of every suite named
     is one job of a single fan-out (dynamics._fan_out), sized by the
     largest n any unit sweeps, so the run is one request that maps its
-    units once; the sweeps inside a unit run serially."""
+    units once; the sweeps inside a unit run serially.  The parts of a
+    check split over several units are joined into the first that fails,
+    or the first."""
     units = [unit for name in names for unit in SUITES[name](max_n)]
     parts = dyn._fan_out(_run_unit, units, workers, max((u[1] for u in units), default=0))
-    return [check for part in parts for check in part]
+    checks = []
+    for _, group in itertools.groupby(itertools.chain(*parts), key=attrgetter("name")):
+        group = list(group)
+        checks.append(next((c for c in group if not c.ok), group[0]))
+    return checks

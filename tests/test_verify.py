@@ -72,3 +72,21 @@ def test_failure_details_pinned(monkeypatch, fault):
     failed = [[c.name, c.detail] for c in checks if not c.ok]
     pinned = Path(__file__).parent / "golden" / "verify_faults_max_n_4.json"
     assert failed == json.loads(pinned.read_text())[fault]
+
+
+def test_orbit_parts_start_every_permutation_once(monkeypatch):
+    """The orbit check's parts, one per first letter, start from all of
+    S_n once each and in lexicographic order."""
+    starts = []
+    _orbit = dyn.orbit
+
+    def orbit(p, tset):
+        starts.append(p)
+        return _orbit(p, tset)
+
+    monkeypatch.setattr(dyn, "orbit", orbit)
+    for n in range(1, 6):
+        starts.clear()
+        for first in range(1, n + 1):
+            assert verify._orbit_checks(n, first)[0].ok
+        assert starts == list(enumerate_permutations(n))
