@@ -33,10 +33,9 @@ count: a single sweep has one job per first letter, build_sort_table one
 per pattern pair and verify.run_suites one per check unit, and the
 sweeps inside a row or a unit run serially.  One rule decides when a
 request starts workers: min(workers, jobs, CPUs) is above one and its
-largest sweep is at n >= 7 (n! >= 5000).
-One request holds one process pool (shared_pool): the first fan-out that
-needs workers starts it, every later one in the request maps over it,
-and it stops when the request ends.
+largest sweep is at n >= 7 (n! >= 5000).  Each request makes one
+fan-out, which starts at most one process pool and stops it when its jobs
+have returned.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import itertools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from math import factorial
 from operator import itemgetter
@@ -198,43 +196,16 @@ def _subtree_images(args: tuple[PatternSet, int, int]) -> list[Word]:
     return images
 
 
-#: The open request's ExitStack (see shared_pool), None outside one, or
-#: False in a pool worker, whose jobs never start workers of their own.
-_request = None
-#: The open request's process pool, once a fan-out has started it.
-_pool = None
+#: True in a pool worker, whose jobs never start workers of their own.
+_in_worker = False
 
 
-@contextmanager
-def shared_pool():
-    """Hold one process pool for every fan-out run inside the block.
-
-    The first fan-out that needs workers starts it, sized by that
-    fan-out's jobs (see _fan_out), and every later one maps over it, so the
-    workers keep the push-table states they learn.  It is shut down when
-    the block ends, on an exception too.  A block inside an open one joins
-    it.  The pool lives no longer than the outermost block, so no worker
-    outlives the request or carries code forked in one request into the
-    next.
-    """
-    global _request, _pool
-    if _request is not None:
-        yield
-        return
-    with ExitStack() as _request:
-        try:
-            yield
-        finally:
-            _request = _pool = None
-
-
-def _forget_request() -> None:
-    """Start a pool worker outside its parent's request.  A forked worker
-    inherits the parent's request and a copy of its pool that no thread
-    serves, so a job that mapped over that copy would block forever; here
-    the worker's jobs run their fan-outs serially instead."""
-    global _request
-    _request = False
+def _mark_worker() -> None:
+    """Start a pool worker whose fan-outs run serially, so a job that asks
+    for workers starts no pool of its own and --parallel bounds the number
+    of processes."""
+    global _in_worker
+    _in_worker = True
 
 
 def _fan_out(work, jobs: list, workers: int, n: int) -> list:
@@ -243,21 +214,16 @@ def _fan_out(work, jobs: list, workers: int, n: int) -> list:
 
     This is the one rule for when a request starts workers: with
     min(workers, len(jobs), CPUs) above one and n! >= 5000 (n >= 7), the
-    jobs run over the open request's pool, started here at that size if
-    the request has none; outside a request, this call is a request of its
-    own.  Otherwise they run here.  A job runs its own sweeps serially:
-    the jobs of the table and of verify pass workers = 1, and inside a
-    pool worker every fan-out runs here (see _forget_request)."""
-    global _pool
+    jobs run over a pool of that size, started here and stopped when they
+    have returned, on an exception too.  Otherwise they run here.  A job
+    runs its own sweeps serially: the jobs of the table and of verify pass
+    workers = 1, and inside a pool worker every fan-out runs here (see
+    _mark_worker)."""
     workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers < 2 or factorial(n) < 5000 or _request is False:
+    if workers < 2 or factorial(n) < 5000 or _in_worker:
         return [work(job) for job in jobs]
-    with shared_pool():
-        if _pool is None:
-            _pool = _request.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_forget_request)
-            )
-        return list(_pool.map(work, jobs))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_mark_worker) as pool:
+        return list(pool.map(work, jobs))
 
 
 def _sweep(subtree, tset: PatternSet, n: int, workers: int) -> list:

@@ -13,9 +13,9 @@ searches S_1, S_2, ... in turn has one unit per n (periodic's orbit
 check one per n and first letter), each a part that searches its
 permutations in order and stops at its first counterexample; run_suites
 joins consecutive parts of one name into the first part that fails, or
-the first part.  run_suites computes every unit of a run as one job (see
-dynamics._fan_out), so the units of all the suites it runs spread over
-one request's workers.
+the first part.  run_suites computes every unit of a run as one job of
+a single fan-out (see dynamics._fan_out), so the units of all the suites
+it runs spread over one pool of workers.
 
 Sweep sizes follow the suite's subject: the sharpness suite pushes
 length-4 patterns one length further than --max-n (capped at 8) because

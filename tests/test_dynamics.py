@@ -4,7 +4,7 @@ fertility, extremal constructions, complement conjugation, and orbits."""
 import gc
 import itertools
 import multiprocessing
-import threading
+import os
 from collections import Counter
 from math import factorial
 
@@ -107,7 +107,9 @@ def test_verify_bijective_finds_known_collisions():
     assert table[(2, 1, 3)] == {(2, 3, 1)}
 
 
-@pytest.mark.parametrize("tset", _small_pattern_sets())
+# the six single patterns and six pairs, {123,213} among them swap-closed;
+# criterion 4 checks all 22 small sets to n = 7
+@pytest.mark.parametrize("tset", _small_pattern_sets()[:12])
 def test_criterion_matches_exhaustive_sweep(tset):
     crit = dyn.bijectivity_criterion(tset)
     injective = all(dyn.verify_bijective(tset, n) is True for n in range(1, 6))
@@ -593,55 +595,45 @@ def test_suite_run_is_one_request_with_one_pool(pools):
     assert pooled == run_suites(names, 6)
 
 
+def _pid(_):
+    return os.getpid()
+
+
 def _asks_for_workers(n):
-    return dyn.sort_images(pattern_set("21"), n, 2)
+    return os.getpid(), dyn._fan_out(_pid, [0, 0], 2, n)
 
 
 def test_job_asking_for_workers_runs_serially(pools):
-    # a forked worker inherits the parent's request and a copy of its pool
-    # that nothing serves, so a job mapping over that copy would block for
-    # ever: the request runs in a thread given a time limit
-    done = []
-
-    def request():
-        with dyn.shared_pool():
-            done.append(dyn._fan_out(_asks_for_workers, [7, 7], 2, 7))
-
-    thread = threading.Thread(target=request)
-    thread.start()
-    thread.join(timeout=30)
-    if thread.is_alive():
-        for child in multiprocessing.active_children():
-            child.kill()
-        thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert done == [[dyn.sort_images(pattern_set("21"), 7)] * 2]
+    # a worker's own fan-out runs in that worker, so --parallel bounds the
+    # process count
+    done = dyn._fan_out(_asks_for_workers, [7, 7], 2, 7)
+    assert [inner for _, inner in done] == [[pid, pid] for pid, _ in done]
     assert pools == {"starts": 1, "maps": 1}
 
 
 def test_serial_sweeps_stay_serial_inside_a_request(pools):
-    with dyn.shared_pool():
-        imgs = dyn.sort_images(T_MAIN, 7)
-        assert pools["starts"] == 0
-        assert dyn.sort_images(T_MAIN, 7, workers=2) == imgs
-        # the workers outlive the sweep that started them
-        assert len(multiprocessing.active_children()) == 2
-        dyn.sort_count(T_MAIN, 8)
-        dyn.sort_images(T_MAIN, 6, workers=2)  # 6! is below the pool's threshold
-        assert pools == {"starts": 1, "maps": 1}
-        assert dyn.sort_count(T_MAIN, 8, workers=2) == dyn.sort_count(T_MAIN, 8)
-        assert pools == {"starts": 1, "maps": 2}
+    imgs = dyn.sort_images(T_MAIN, 7)
+    assert pools["starts"] == 0
+    dyn.sort_images(T_MAIN, 6, workers=2)  # 6! is below the pool's threshold
+    assert pools["starts"] == 0
+    assert dyn.sort_images(T_MAIN, 7, workers=2) == imgs
+    assert pools == {"starts": 1, "maps": 1}
     assert multiprocessing.active_children() == []
+    assert dyn.sort_count(T_MAIN, 8, workers=2) == dyn.sort_count(T_MAIN, 8)
+    assert pools == {"starts": 2, "maps": 2}
+
+
+def _sweep_size(n):
+    return len(dyn.sort_images(pattern_set("21"), n))
 
 
 def test_failed_request_stops_its_pool(pools):
+    # n = 13 is over the cap, so that job raises in its worker
     with pytest.raises(ValueError, match="capped"):
-        with dyn.shared_pool():
-            dyn.sort_images(T_MAIN, 7, workers=2)
-            dyn.sort_images(T_MAIN, 13, workers=2)
+        dyn._fan_out(_sweep_size, [7, 13], 2, 7)
     assert pools["starts"] == 1
     assert multiprocessing.active_children() == []
-    # the next request starts a pool of its own
+    # the next fan-out starts a pool of its own
     assert dyn.image_size(T_MAIN, 7, workers=2) == dyn.image_size(T_MAIN, 7)
     assert pools["starts"] == 2
     assert multiprocessing.active_children() == []

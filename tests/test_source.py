@@ -90,10 +90,17 @@ def test_every_module_definition_is_used():
     assert dead == []
 
 
-def pool_constructions(tree: ast.AST) -> list[int]:
-    """The lines that call ProcessPoolExecutor, by name or as an attribute."""
+def pool_constructions(tree: ast.AST) -> list[tuple[int, bool]]:
+    """The calls to ProcessPoolExecutor, by name or as an attribute: each
+    one's line, and whether it is an item of a with statement."""
+    with_items = {
+        id(item.context_expr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With)
+        for item in node.items
+    }
     return [
-        node.lineno
+        (node.lineno, id(node) in with_items)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and "ProcessPoolExecutor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
@@ -101,10 +108,12 @@ def pool_constructions(tree: ast.AST) -> list[int]:
 
 
 def test_process_pool_is_constructed_in_one_place():
-    # the fan-out is written once: every request's workers start there
+    # the fan-out is written once: every request's workers start there, in
+    # a with statement, so no pool outlives the fan-out that opened it
     found = [
-        f"{path.name}:{line}"
+        (f"{path.name}:{line}", in_with)
         for path in sorted(SRC.glob("*.py"))
-        for line in pool_constructions(ast.parse(path.read_text()))
+        for line, in_with in pool_constructions(ast.parse(path.read_text()))
     ]
     assert len(found) == 1, found
+    assert found[0][1], found
