@@ -218,7 +218,10 @@ def _fan_out(work, jobs: list, workers: int, n: int) -> list:
     have returned, on an exception too.  Otherwise they run here.  A job
     runs its own sweeps serially: the jobs of the table and of verify pass
     workers = 1, and inside a pool worker every fan-out runs here (see
-    _mark_worker)."""
+    _mark_worker).  When a pooled job raises, the error reaches the caller
+    as soon as the jobs before it in order, and the few already handed to
+    a worker (at most workers + 1), have returned: Executor.map cancels
+    the rest."""
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers < 2 or factorial(n) < 5000 or _in_worker:
         return [work(job) for job in jobs]
@@ -577,10 +580,10 @@ def _preimages_by_moves(gamma: Word, tset: PatternSet) -> set[Word]:
     return found
 
 
-def preimage_map(tset: PatternSet, n: int, workers: int = 1) -> dict[Word, set[Word]]:
+def preimage_map(tset: PatternSet, n: int) -> dict[Word, set[Word]]:
     """Every image with its full preimage set, from a single sweep of S_n."""
     table: dict[Word, set[Word]] = {}
-    for p, img in zip(enumerate_permutations(n), sort_images(tset, n, workers)):
+    for p, img in zip(enumerate_permutations(n), sort_images(tset, n)):
         table.setdefault(img, set()).add(p)
     return table
 
@@ -656,13 +659,13 @@ def extremal_family(pattern: Word, n: int) -> set[Word]:
 # complement conjugation
 
 
-def complement_conjugation_check(tset: PatternSet, n: int, workers: int = 1) -> bool:
+def complement_conjugation_check(tset: PatternSet, n: int) -> bool:
     """Sorting the complement under the complemented patterns must equal the
     complement of the sorted original, across all of S_n."""
     comp_tset = tset.complemented()
     return all(
         sort(complement(p), comp_tset) == complement(img)
-        for p, img in zip(enumerate_permutations(n), sort_images(tset, n, workers))
+        for p, img in zip(enumerate_permutations(n), sort_images(tset, n))
     )
 
 
@@ -756,18 +759,14 @@ def orbit_partition(tset: PatternSet, n: int, workers: int = 1) -> tuple[tuple[W
     return tuple(sorted(cycles))
 
 
-def periodic_points(tset: PatternSet, n: int, workers: int = 1) -> set[Word]:
+def periodic_points(tset: PatternSet, n: int) -> set[Word]:
     """All permutations of S_n lying on a cycle of the map."""
-    return {p for cycle in orbit_partition(tset, n, workers) for p in cycle}
+    return {p for cycle in orbit_partition(tset, n) for p in cycle}
 
 
-def trivial_periodic_points_only(
-    tset: PatternSet, n: int, workers: int = 1
-) -> tuple[bool, Word | None]:
+def trivial_periodic_points_only(tset: PatternSet, n: int) -> tuple[bool, Word | None]:
     """Check that nothing but the identity and its reverse is periodic;
     returns (verdict, counterexample), the counterexample being the least
     other periodic point when the check fails."""
-    extras = sorted(
-        periodic_points(tset, n, workers) - {identity(n), reverse_identity(n)}
-    )
+    extras = sorted(periodic_points(tset, n) - {identity(n), reverse_identity(n)})
     return (not extras, extras[0] if extras else None)

@@ -6,16 +6,17 @@ ordered, lazy search for counterexamples: it fails with the first one the
 search finds, described in its detail, and passes with an empty detail
 when the search runs out.
 
-A suite lists its checks as units, (fn, n, *args) with fn a module-level
-function and n the largest size it sweeps; fn(n, *args) returns one or
-more checks, and checks that share a sweep share a unit.  A check that
-searches S_1, S_2, ... in turn has one unit per n (periodic's orbit
-check one per n and first letter), each a part that searches its
-permutations in order and stops at its first counterexample; run_suites
-joins consecutive parts of one name into the first part that fails, or
-the first part.  run_suites computes every unit of a run as one job of
-a single fan-out (see dynamics._fan_out), so the units of all the suites
-it runs spread over one pool of workers.
+A suite lists its checks as units, (name, n, failures, *args): name is
+the check's name, n the largest size the unit sweeps, and failures a
+module-level function whose failures(n, *args) is the unit's search; a
+unit gives one Check.  A check that searches S_1, S_2, ... in turn has
+one unit per n (periodic's orbit check one per n and first letter), each
+a part that shares the check's name and searches its permutations in
+order up to its first counterexample; run_suites joins consecutive parts
+of one name into the first part that fails, or the first part.
+run_suites computes every unit of a run as one job of a single fan-out
+(see dynamics._fan_out), so the units of all the suites it runs spread
+over one pool of workers.
 
 Sweep sizes follow the suite's subject: the sharpness suite pushes
 length-4 patterns one length further than --max-n (capped at 8) because
@@ -62,8 +63,7 @@ def _small_pattern_sets() -> list[PatternSet]:
     return sets + [dyn.CLASSICAL_STACK]
 
 
-def _bijectivity_checks(max_n: int, tset: PatternSet) -> list[Check]:
-    label = format_patterns(tset)
+def _bijectivity_failures(max_n: int, tset: PatternSet) -> Iterator[str]:
     crit = dyn.bijectivity_criterion(tset)
     sweeps = ((n, dyn.verify_bijective(tset, n)) for n in range(1, max_n + 1))
     # the first collision, or None when every sweep is injective
@@ -73,31 +73,40 @@ def _bijectivity_checks(max_n: int, tset: PatternSet) -> list[Check]:
     else:
         n, (a, b) = first
         found = f"{format_word(a)} and {format_word(b)} collide at n={n}"
-    checks = [
-        _check(
-            f"bijectivity criterion vs sweep {{{label}}}",
-            [] if crit == (first is None) else [f"criterion={crit} but {found}"],
-        )
-    ]
-    if crit:
-        checks.append(
-            _check(
-                f"inverse round-trip {{{label}}}",
-                (
-                    f"fails at {format_word(p)}"
-                    for n in range(1, max_n + 1)
-                    for p in enumerate_permutations(n)
-                    if dyn.inverse_sort(sort(p, tset), tset) != p
-                ),
-            )
-        )
-    return checks
+    if crit != (first is None):
+        yield f"criterion={crit} but {found}"
+
+
+def _round_trip_failures(max_n: int, tset: PatternSet) -> Iterator[str]:
+    return (
+        f"fails at {format_word(p)}"
+        for n in range(1, max_n + 1)
+        for p in enumerate_permutations(n)
+        if dyn.inverse_sort(sort(p, tset), tset) != p
+    )
 
 
 def suite_bijectivity(max_n: int) -> list[tuple]:
     """The first-two-swap criterion against exhaustive injectivity, and the
     reverse-conjugate inverse when the criterion holds."""
-    return [(_bijectivity_checks, max_n, tset) for tset in _small_pattern_sets()]
+    units = []
+    for tset in _small_pattern_sets():
+        label = format_patterns(tset)
+        name = f"bijectivity criterion vs sweep {{{label}}}"
+        units.append((name, max_n, _bijectivity_failures, tset))
+        if dyn.bijectivity_criterion(tset):
+            units.append((f"inverse round-trip {{{label}}}", max_n, _round_trip_failures, tset))
+    return units
+
+
+def _per_n(claim: str, failures, sets, max_n: int, first_n: int = 1) -> list[tuple]:
+    """One unit per set and n, each a part of the set's check, named
+    "claim {T} n<=max_n"."""
+    units = []
+    for tset in sets:
+        name = f"{claim} {{{format_patterns(tset)}}} n<={max_n}"
+        units += [(name, n, failures, tset) for n in range(first_n, max_n + 1)]
+    return units
 
 
 RECURSION_SETS = (
@@ -110,27 +119,18 @@ RECURSION_SETS = (
 )
 
 
-def _recursion_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
-    return [
-        _check(
-            f"recursion oracle {{{format_patterns(tset)}}} n<={max_n}",
-            (
-                f"{format_word(p)}: simulation {format_word(img)}"
-                f" vs recursion {format_word(sort_recursive(p, tset))}"
-                for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n))
-                if sort_recursive(p, tset) != img
-            ),
-        )
-    ]
+def _recursion_failures(n: int, tset: PatternSet) -> Iterator[str]:
+    return (
+        f"{format_word(p)}: simulation {format_word(img)}"
+        f" vs recursion {format_word(sort_recursive(p, tset))}"
+        for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n))
+        if sort_recursive(p, tset) != img
+    )
 
 
 def suite_recursion(max_n: int) -> list[tuple]:
     """Simulation against the clumping recurrence, letter for letter."""
-    return [
-        (_recursion_checks, n, tset, max_n)
-        for tset in RECURSION_SETS
-        for n in range(0, max_n + 1)
-    ]
+    return _per_n("recursion oracle", _recursion_failures, RECURSION_SETS, max_n, first_n=0)
 
 
 BOUND_SETS = (
@@ -146,7 +146,7 @@ BOUND_SETS = (
 AGREEMENT_CAP = 6
 
 
-def _bound_failures(tset: PatternSet, n: int) -> Iterator[str]:
+def _bound_failures(n: int, tset: PatternSet) -> Iterator[str]:
     k = tset.min_len
     if n < k - 2:
         return
@@ -162,27 +162,14 @@ def _bound_failures(tset: PatternSet, n: int) -> Iterator[str]:
         yield f"fails at n={n}, {format_word(g)}"
 
 
-def _bound_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
-    return [
-        _check(
-            f"preimage bound and agreement {{{format_patterns(tset)}}} n<={max_n}",
-            _bound_failures(tset, n),
-        )
-    ]
-
-
 def suite_bound(max_n: int) -> list[tuple]:
     """Preimage counts never exceed catalan(n - k + 2); the output-guided
     preimage search returns, for every target, the preimage set that one
     sweep of S_n tabulates."""
-    return [
-        (_bound_checks, n, tset, max_n)
-        for tset in BOUND_SETS
-        for n in range(1, max_n + 1)
-    ]
+    return _per_n("preimage bound and agreement", _bound_failures, BOUND_SETS, max_n)
 
 
-def _sharpness_failures(pattern: Word, sharp: bool, n: int) -> Iterator[str]:
+def _sharpness_failures(n: int, pattern: Word, sharp: bool) -> Iterator[str]:
     """The rule at n: the bound is met exactly when the first two letters
     are consecutive (sharp), and never passed; for sharp patterns the
     extremal target is also a witness whose preimages are the family."""
@@ -203,97 +190,85 @@ def _sharpness_failures(pattern: Word, sharp: bool, n: int) -> Iterator[str]:
             yield f"n={n}: family mismatch"
 
 
-def _sharpness_checks(n: int, pattern: Word) -> list[Check]:
-    sharp = abs(pattern[0] - pattern[1]) == 1
-    name = f"{'sharp bound met' if sharp else 'bound unattained'} ({format_word(pattern)})"
-    return [_check(name, _sharpness_failures(pattern, sharp, n))]
-
-
 def suite_sharpness(max_n: int) -> list[tuple]:
     """Single-pattern fertility: the Catalan bound is met exactly when the
     pattern's first two letters are consecutive, with the extremal target
     and family realizing it."""
     caps = [(p, max_n) for p in dyn.LENGTH3_PATTERNS]
     caps += [(p, min(max_n + 1, 8)) for p in itertools.permutations((1, 2, 3, 4))]
-    # the parts below n = k find nothing; one is kept when cap < k
-    return [
-        (_sharpness_checks, n, p)
-        for p, cap in caps
-        for n in range(min(len(p), cap), cap + 1)
-    ]
+    units = []
+    for p, cap in caps:
+        sharp = abs(p[0] - p[1]) == 1
+        name = f"{'sharp bound met' if sharp else 'bound unattained'} ({format_word(p)})"
+        # the parts below n = k find nothing; one is kept when cap < k
+        ns = range(min(len(p), cap), cap + 1)
+        units += [(name, n, _sharpness_failures, p, sharp) for n in ns]
+    return units
 
 
-def _periodic_checks(n: int) -> list[Check]:
-    """The periodic suite's checks at one n that share one partition."""
-    tset = pattern_set("123", "132")
-    cycle_len = (n + 2) // 2
-    cycles = dyn.orbit_partition(tset, n)
-    points = {p for cycle in cycles for p in cycle}
-    half_dec = {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
-    checks = [
-        _check(
-            f"periodic set is half-decreasing set (n={n})",
-            (
-                f"{format_word(p)} is periodic but not half-decreasing"
-                if p in points
-                else f"{format_word(p)} is half-decreasing but not periodic"
-                for p in sorted(points ^ half_dec)
-            ),
-        )
-    ]
-    counts_ok = (
-        len(half_dec) == factorial((n + 2) // 2)
+PERIODIC_SET = pattern_set("123", "132")
+
+
+def _half_decreasing(n: int) -> set[Word]:
+    return {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
+
+
+def _periodic_set_failures(n: int) -> Iterator[str]:
+    points = dyn.periodic_points(PERIODIC_SET, n)
+    return (
+        f"{format_word(p)} is periodic but not half-decreasing"
+        if p in points
+        else f"{format_word(p)} is half-decreasing but not periodic"
+        for p in sorted(points ^ _half_decreasing(n))
+    )
+
+
+def _cycle_count_failures(n: int) -> Iterator[str]:
+    cycles = dyn.orbit_partition(PERIODIC_SET, n)
+    if not (
+        len(_half_decreasing(n)) == factorial((n + 2) // 2)
         and len(cycles) == factorial(n // 2)
-        and all(len(c) == cycle_len for c in cycles)
-    )
-    checks.append(
-        _check(
-            f"cycle sizes and counts (n={n})",
-            [] if counts_ok else [f"{len(cycles)} cycles of sizes {sorted(set(map(len, cycles)))}"],
-        )
-    )
-    if n >= 3:
-        checks.append(
-            _check(
-                f"closed form matches simulation (n={n})",
-                (
-                    f"fails at {format_word(p)}"
-                    for p in half_dec
-                    if dyn.half_decreasing_step(p) != sort(p, tset)
-                ),
-            )
-        )
-    return checks
+        and all(len(c) == (n + 2) // 2 for c in cycles)
+    ):
+        yield f"{len(cycles)} cycles of sizes {sorted(set(map(len, cycles)))}"
 
 
-def _orbit_checks(n: int, first: int) -> list[Check]:
-    """The orbit check's part over the permutations starting with `first`,
-    (n-1)! consecutive ones in lexicographic order."""
-    tset = pattern_set("123", "132")
+def _closed_form_failures(n: int) -> Iterator[str]:
+    return (
+        f"fails at {format_word(p)}"
+        for p in _half_decreasing(n)
+        if dyn.half_decreasing_step(p) != sort(p, PERIODIC_SET)
+    )
+
+
+def _orbit_failures(n: int, first: int) -> Iterator[str]:
+    """The orbit check's search over the permutations starting with
+    `first`, (n-1)! consecutive ones in lexicographic order."""
     starts = itertools.islice(
         enumerate_permutations(n), (first - 1) * factorial(n - 1), first * factorial(n - 1)
     )
-    return [
-        _check(
-            f"every orbit reaches half-decreasing (n={n})",
-            (
-                f"fails at {format_word(rep.start)}"
-                for rep in (dyn.orbit(p, tset) for p in starts)
-                if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
-            ),
-        )
-    ]
+    return (
+        f"fails at {format_word(rep.start)}"
+        for rep in (dyn.orbit(p, PERIODIC_SET) for p in starts)
+        if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
+    )
 
 
 def suite_periodic(max_n: int) -> list[tuple]:
     """Orbit structure of the {123,132}-avoiding stack: the periodic points
     are exactly the half-decreasing permutations, in (n//2)! cycles all of
     length ceil((n+1)/2), and every start falls into them."""
-    return [
-        unit
-        for n in range(1, max_n + 1)
-        for unit in [(_periodic_checks, n), *((_orbit_checks, n, f) for f in range(1, n + 1))]
-    ]
+    units = []
+    for n in range(1, max_n + 1):
+        units += [
+            (f"periodic set is half-decreasing set (n={n})", n, _periodic_set_failures),
+            (f"cycle sizes and counts (n={n})", n, _cycle_count_failures),
+        ]
+        if n >= 3:
+            units.append((f"closed form matches simulation (n={n})", n, _closed_form_failures))
+        name = f"every orbit reaches half-decreasing (n={n})"
+        units += [(name, n, _orbit_failures, first) for first in range(1, n + 1)]
+    return units
 
 
 COMPLEMENT_SETS = (
@@ -303,67 +278,50 @@ COMPLEMENT_SETS = (
 )
 
 
-def _complement_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
-    return [
-        _check(
-            f"complement conjugation {{{format_patterns(tset)}}} n<={max_n}",
-            [] if dyn.complement_conjugation_check(tset, n) else [f"fails at n={n}"],
-        )
-    ]
+def _complement_failures(n: int, tset: PatternSet) -> Iterator[str]:
+    if not dyn.complement_conjugation_check(tset, n):
+        yield f"fails at n={n}"
 
 
 def suite_complement(max_n: int) -> list[tuple]:
     """Complementing input and patterns complements the output."""
-    return [
-        (_complement_checks, n, tset, max_n)
-        for tset in COMPLEMENT_SETS
-        for n in range(1, max_n + 1)
-    ]
+    return _per_n("complement conjugation", _complement_failures, COMPLEMENT_SETS, max_n)
 
 
 MACHINE_CATALAN_PATTERNS = ((1, 2, 3), (1, 3, 2), (2, 3, 1))
 
 
-def _machine_catalan_checks(max_n: int, p: Word) -> list[Check]:
+def _machine_catalan_failures(max_n: int, tset: PatternSet) -> Iterator[str]:
     expected = [catalan(n) for n in range(1, max_n + 1)]
-    q = (p[1], p[0]) + p[2:]
-    tset = pattern_set(p, q)
     counts = [dyn.sort_count(tset, n) for n in range(1, max_n + 1)]
-    return [
-        _check(
-            f"machine catalan counts ({format_word(p)},{format_word(q)}) n<={max_n}",
-            [] if counts == expected else [f"got {counts}, expected {expected}"],
-        )
-    ]
+    if counts != expected:
+        yield f"got {counts}, expected {expected}"
 
 
 def suite_machine_catalan(max_n: int) -> list[tuple]:
     """Pair a pattern with its first-two swap and the two-stage machine
     sorts exactly catalan(n) permutations to the identity."""
-    return [(_machine_catalan_checks, max_n, p) for p in MACHINE_CATALAN_PATTERNS]
+    units = []
+    for p in MACHINE_CATALAN_PATTERNS:
+        q = (p[1], p[0]) + p[2:]
+        name = f"machine catalan counts ({format_word(p)},{format_word(q)}) n<={max_n}"
+        units.append((name, max_n, _machine_catalan_failures, pattern_set(p, q)))
+    return units
 
 
 CONJECTURE_SETS = (pattern_set("132", "213"), pattern_set("231", "213"))
 
 
-def _conjecture_checks(n: int, tset: PatternSet, max_n: int) -> list[Check]:
+def _conjecture_failures(n: int, tset: PatternSet) -> Iterator[str]:
     ok, witness = dyn.trivial_periodic_points_only(tset, n)
-    return [
-        _check(
-            f"only trivial periodic points {{{format_patterns(tset)}}} n<={max_n}",
-            [] if ok else [f"counterexample at n={n}: {format_word(witness)}"],
-        )
-    ]
+    if not ok:
+        yield f"counterexample at n={n}: {format_word(witness)}"
 
 
 def suite_conjectures(max_n: int) -> list[tuple]:
     """Only the identity and its reverse should be periodic for these maps;
     a counterexample is reported verbatim rather than assumed away."""
-    return [
-        (_conjecture_checks, n, tset, max_n)
-        for tset in CONJECTURE_SETS
-        for n in range(1, max_n + 1)
-    ]
+    return _per_n("only trivial periodic points", _conjecture_failures, CONJECTURE_SETS, max_n)
 
 
 SUITES = {
@@ -378,9 +336,9 @@ SUITES = {
 }
 
 
-def _run_unit(unit: tuple) -> list[Check]:
-    fn, *args = unit
-    return fn(*args)
+def _run_unit(unit: tuple) -> Check:
+    name, n, failures, *args = unit
+    return _check(name, failures(n, *args))
 
 
 def run_suites(names: list[str], max_n: int, workers: int = 1) -> list[Check]:
@@ -393,7 +351,7 @@ def run_suites(names: list[str], max_n: int, workers: int = 1) -> list[Check]:
     units = [unit for name in names for unit in SUITES[name](max_n)]
     parts = dyn._fan_out(_run_unit, units, workers, max((u[1] for u in units), default=0))
     checks = []
-    for _, group in itertools.groupby(itertools.chain(*parts), key=attrgetter("name")):
+    for _, group in itertools.groupby(parts, key=attrgetter("name")):
         group = list(group)
         checks.append(next((c for c in group if not c.ok), group[0]))
     return checks

@@ -37,7 +37,7 @@ FAULTS = {
         (
             dyn,
             "preimage_map",
-            lambda tset, n, workers=1: {identity(n): set(enumerate_permutations(n))},
+            lambda tset, n: {identity(n): set(enumerate_permutations(n))},
         ),
     ],
     "preimages-empty": [
@@ -53,9 +53,9 @@ FAULTS = {
     "max-below-best": [(dyn, "fertility_max", _max_count(lambda rep: rep.max_count - 1))],
     "step-identity": [(dyn, "half_decreasing_step", lambda p: p)],
     "no-half-decreasing": [(dyn, "is_half_decreasing", lambda p: False)],
-    "complement-fails": [(dyn, "complement_conjugation_check", lambda tset, n, workers=1: False)],
+    "complement-fails": [(dyn, "complement_conjugation_check", lambda tset, n: False)],
     "conjecture-refuted": [
-        (dyn, "trivial_periodic_points_only", lambda tset, n, workers=1: (False, (2, 1)))
+        (dyn, "trivial_periodic_points_only", lambda tset, n: (False, (2, 1)))
     ],
     "sort-count-zero": [(dyn, "sort_count", lambda tset, n, workers=1: 0)],
 }
@@ -88,5 +88,5 @@ def test_orbit_parts_start_every_permutation_once(monkeypatch):
     for n in range(1, 6):
         starts.clear()
         for first in range(1, n + 1):
-            assert verify._orbit_checks(n, first)[0].ok
+            assert not list(verify._orbit_failures(n, first))
         assert starts == list(enumerate_permutations(n))
