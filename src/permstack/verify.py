@@ -10,10 +10,10 @@ A suite lists its checks as units, (name, n, failures, *args): name is
 the check's name, n the largest size the unit sweeps, and failures a
 module-level function whose failures(n, *args) is the unit's search; a
 unit gives one Check.  A check that searches S_1, S_2, ... in turn has
-one unit per n (periodic's orbit check one per n and first letter), each
-a part that shares the check's name and searches its permutations in
-order up to its first counterexample; run_suites joins consecutive parts
-of one name into the first part that fails, or the first part.
+one unit per n, each a part that shares the check's name and searches
+its permutations in order up to its first counterexample; no check is
+split below one n.  run_suites joins consecutive parts of one name into
+the first part that fails, or the first part.
 run_suites computes every unit of a run as one job of a single fan-out
 (see dynamics._fan_out), so the units of all the suites it runs spread
 over one pool of workers.
@@ -241,17 +241,17 @@ def _closed_form_failures(n: int) -> Iterator[str]:
     )
 
 
-def _orbit_failures(n: int, first: int) -> Iterator[str]:
-    """The orbit check's search over the permutations starting with
-    `first`, (n-1)! consecutive ones in lexicographic order."""
-    starts = itertools.islice(
-        enumerate_permutations(n), (first - 1) * factorial(n - 1), first * factorial(n - 1)
-    )
-    return (
-        f"fails at {format_word(rep.start)}"
-        for rep in (dyn.orbit(p, PERIODIC_SET) for p in starts)
-        if not any(dyn.is_half_decreasing(q) for q in (*rep.tail, *rep.cycle))
-    )
+def _orbit_failures(n: int) -> Iterator[str]:
+    """Fails at each start, in lexicographic order, whose orbit through one
+    table of the map repeats a point before it meets a half-decreasing one."""
+    f = dyn.sort_map(PERIODIC_SET, n)
+    for start in f:
+        seen, cur = set(), start
+        while cur not in seen and not dyn.is_half_decreasing(cur):
+            seen.add(cur)
+            cur = f[cur]
+        if cur in seen:
+            yield f"fails at {format_word(start)}"
 
 
 def suite_periodic(max_n: int) -> list[tuple]:
@@ -266,8 +266,7 @@ def suite_periodic(max_n: int) -> list[tuple]:
         ]
         if n >= 3:
             units.append((f"closed form matches simulation (n={n})", n, _closed_form_failures))
-        name = f"every orbit reaches half-decreasing (n={n})"
-        units += [(name, n, _orbit_failures, first) for first in range(1, n + 1)]
+        units.append((f"every orbit reaches half-decreasing (n={n})", n, _orbit_failures))
     return units
 
 

@@ -147,16 +147,10 @@ def test_criterion_09_complement_conjugation():
 
 
 def test_criterion_10_periodic_structure():
-    # the suite covers n = 1..7: periodic = half-decreasing, the cycle
+    # the suite covers n = 1..8: periodic = half-decreasing, the cycle
     # counts, the closed form from n = 3, and absorption of every start
-    assert len(passing_suite("periodic", 7)) == 26
-    # and its n = 8 units but the orbit parts, which would make 8! orbit() calls
-    units = [
-        u for u in verify.suite_periodic(8) if u[1] == 8 and u[2] is not verify._orbit_failures
-    ]
-    checks = [verify._run_unit(u) for u in units]
-    assert len(checks) == 3 and all(c.ok for c in checks), checks
-    print("PASS criterion 10: periodic = half-decreasing with the stated counts (n=3..8); all of S_7 absorbed")
+    assert len(passing_suite("periodic", 8)) == 30
+    print("PASS criterion 10: periodic = half-decreasing with the stated counts (n=3..8); all of S_8 absorbed")
 
 
 def test_criterion_11_half_increasing_periodic_points():
