@@ -59,7 +59,6 @@ from .words import (
     _extend_occurrences,
     _tightest_bounds,
     contains,
-    occurrences,
     reverse,
 )
 
@@ -169,7 +168,7 @@ def _resolve(x: int, slot: int, patterns: frozenset, letters: list[int], states:
                 top_down = (x, *reversed(letters))
             at = m - i + 1  # y's index in top_down
             for lo, hi in rising if x < y else falling:
-                if next(_extend_occurrences(top_down, lo, hi, [0, at], at + 1), None):
+                if _extend_occurrences(top_down, lo, hi, [0, at], at + 1):
                     state = False
                     break
         if state is not False:
@@ -330,14 +329,21 @@ def clumping(w: Word, tset: PatternSet) -> Clumping | None:
     to sets with patterns of mixed lengths).  Should two patterns ever match
     the same least tuple, the lexicographically least pattern is stored; in
     fact one index tuple determines its pattern, so this is cosmetic.
+
+    The colex-least occurrence of reverse(sigma) in w is, read with each
+    index j as n-1-j, the lex-greatest occurrence of sigma in reverse(w):
+    the first hit of the occurrence search tried from the right.  So each
+    pattern costs one search that stops at its first hit.
     """
+    n, rev = len(w), reverse(w)
     best_key = None
     best: tuple[Word, tuple[int, ...]] | None = None
     for sigma in tset:  # sorted, so the pattern tie-break is deterministic
-        for idxs in occurrences(w, reverse(sigma)):
-            key = tuple(reversed(idxs))
+        chosen: list[int] = []
+        if _extend_occurrences(rev, *_tightest_bounds(sigma), chosen, 0, from_right=True):
+            key = tuple(n - 1 - j for j in chosen)
             if best_key is None or key < best_key:
-                best_key, best = key, (sigma, idxs)
+                best_key, best = key, (sigma, key[::-1])
     if best is None:
         return None
     sigma, idxs = best

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from operator import attrgetter
 
@@ -209,8 +210,11 @@ def suite_sharpness(max_n: int) -> list[tuple]:
 PERIODIC_SET = pattern_set("123", "132")
 
 
-def _half_decreasing(n: int) -> set[Word]:
-    return {p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p)}
+@lru_cache(maxsize=None)
+def _half_decreasing(n: int) -> frozenset[Word]:
+    """The half-decreasing permutations of S_n, filtered once per n for the
+    set, count and closed-form checks."""
+    return frozenset(p for p in enumerate_permutations(n) if dyn.is_half_decreasing(p))
 
 
 def _periodic_set_failures(n: int) -> Iterator[str]:

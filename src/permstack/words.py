@@ -9,8 +9,10 @@ Conventions shared by the whole package:
   the configurations a sorting stack must avoid (see machine).
 
 Containment and occurrences are one depth-first search over pattern
-positions: occurrences yields all its hits, and contains asks for the
-first.
+positions, a plain recursion: occurrences has it collect every hit, and
+contains has it stop at the first.  It can also try its candidates from
+the right, so that its first hit is the lexicographically greatest
+occurrence; machine.clumping finds its witness that way.
 
 Everything here is a pure function on immutable tuples, so it is safe to
 call concurrently or from worker processes.
@@ -67,23 +69,39 @@ def _tightest_bounds(p: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _extend_occurrences(
-    w: Word, lo: tuple[int, ...], hi: tuple[int, ...], chosen: list[int], start: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield, in lexicographic order, every occurrence whose first indices
-    are `chosen`, taking its next index from `start` on.  A letter is
-    admitted when it lies strictly between the letters at its two tightest
-    bounds."""
+    w: Word,
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
+    chosen: list[int],
+    start: int,
+    hits: list[tuple[int, ...]] | None = None,
+    from_right: bool = False,
+) -> bool:
+    """Search depth first for occurrences whose first indices are `chosen`,
+    taking the next index from `start` on.  A letter is admitted when it
+    lies strictly between the letters at its two tightest bounds.
+
+    Without `hits`, return True at the first hit and leave it in `chosen`.
+    With a list, append every hit to it as a tuple and return False.  Hits
+    come in lexicographic order of the index sequence, or in reverse
+    lexicographic order when from_right tries the candidates from the right,
+    so that the first hit is then the lexicographically greatest."""
     t, m = len(chosen), len(lo)
     if t == m:
-        yield tuple(chosen)
-        return
+        if hits is None:
+            return True
+        hits.append(tuple(chosen))
+        return False
     low = w[chosen[lo[t]]] if lo[t] >= 0 else -math.inf
     high = w[chosen[hi[t]]] if hi[t] >= 0 else math.inf
-    for i in range(start, len(w) - m + t + 1):
+    stop = len(w) - m + t + 1
+    for i in range(stop - 1, start - 1, -1) if from_right else range(start, stop):
         if low < w[i] < high:
             chosen.append(i)
-            yield from _extend_occurrences(w, lo, hi, chosen, i + 1)
+            if _extend_occurrences(w, lo, hi, chosen, i + 1, hits, from_right):
+                return True
             chosen.pop()
+    return False
 
 
 def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
@@ -92,25 +110,26 @@ def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
     p must be a permutation.  Tuples come out in lexicographic order of the
     index sequence.
     """
-    return _extend_occurrences(w, *_tightest_bounds(p), [], 0)
+    hits: list[tuple[int, ...]] = []
+    _extend_occurrences(w, *_tightest_bounds(p), [], 0, hits)
+    return iter(hits)
 
 
 def contains(w: Word, p: Word, anchored: bool = False) -> bool:
     """True when some (not necessarily contiguous) subsequence of w is
     order-isomorphic to the permutation p; when anchored, one starting at
-    w's first letter.
+    w's first letter.  The search stops at its first hit.
 
     >>> contains((1, 3, 2, 4, 5, 6), (1, 3, 2))
     True
     >>> contains((4, 5, 3, 1, 2), (1, 3, 2))
     False
     """
-    # the first hit of occurrences' search; p's first letter has no bound
-    # to meet, so an anchored search fixes index 0 and goes on from there.
-    # An empty w or p has nothing to anchor: the plain search answers it.
+    # p's first letter has no bound to meet, so an anchored search fixes
+    # index 0 and goes on from there.  An empty w or p has nothing to
+    # anchor: the plain search answers it.
     chosen, start = ([0], 1) if anchored and w and p else ([], 0)
-    hits = _extend_occurrences(w, *_tightest_bounds(p), chosen, start)
-    return next(hits, None) is not None
+    return _extend_occurrences(w, *_tightest_bounds(p), chosen, start)
 
 
 def avoids(w: Word, p: Word) -> bool:

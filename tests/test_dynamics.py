@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import machine_sort
-from permstack import dynamics as dyn, machine
+from permstack import dynamics as dyn, machine, words
 from permstack.machine import clumping, legal_movement_sequences, sort, sort_recursive
 from permstack.verify import (
     COMPLEMENT_SETS,
@@ -376,6 +376,23 @@ def test_searches_leave_no_reference_cycles(call):
     # the occurrence search and the movement-sequence enumeration are
     # module-level recursions too
     assert _cyclic_garbage(call) == 0
+
+
+def test_clumping_stops_at_each_first_hit(monkeypatch):
+    # the colex-least witness is one first hit of the search per pattern:
+    # 321 in the decreasing word of length 30 takes a few calls, where
+    # listing every occurrence visits all C(30, 3) = 4,060 of them
+    search, calls = words._extend_occurrences, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(words, "_extend_occurrences", counted)
+    monkeypatch.setattr(machine, "_extend_occurrences", counted)
+    c = clumping(reverse_identity(30), pattern_set("123"))
+    assert c.witness_indices == (0, 1, 2)
+    assert 0 < len(calls) <= 2 * 30
 
 
 def test_push_misses_leave_no_reference_cycles(monkeypatch):

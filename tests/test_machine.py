@@ -451,7 +451,17 @@ def test_clumping_none_iff_avoiding_reversed():
             assert (clumping(p, tset) is None) == avoids_all(p, rev)
 
 
-@pytest.mark.parametrize("tset", [T_MAIN, pattern_set("213", "231"), pattern_set("132")])
+CLUMPING_SETS = [
+    T_MAIN,
+    pattern_set("213", "231"),
+    pattern_set("132"),
+    pattern_set("21", "321"),
+    pattern_set("123", "2143"),
+    pattern_set("2413", "3142"),
+]
+
+
+@pytest.mark.parametrize("tset", CLUMPING_SETS)
 def test_clumping_well_formed_small(tset):
     for n in range(0, 7):
         for p in enumerate_permutations(n):
@@ -470,6 +480,26 @@ def test_clumping_well_formed_small(tset):
                 for s in tset
                 for other in occurrences(p, reverse(s))
             )
+
+
+@pytest.mark.parametrize("tset", CLUMPING_SETS)
+def test_clumping_matches_scan_on_words_with_repeats(tset):
+    for length in range(7):
+        for w in itertools.product((1, 2, 3, 4), repeat=length):
+            c = clumping(w, tset)
+            expected = oracle_clumping_witness(w, tset)
+            assert (c and (c.witness_pattern, c.witness_indices)) == expected
+
+
+@given(
+    st.integers(8, 16).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.sampled_from(CLUMPING_SETS),
+)
+def test_clumping_matches_scan_on_long_permutations(p, tset):
+    p = tuple(p)
+    c = clumping(p, tset)
+    expected = oracle_clumping_witness(p, tset)
+    assert (c and (c.witness_pattern, c.witness_indices)) == expected
 
 
 def test_clumping_colex_scan_at_seven():

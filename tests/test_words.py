@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 import oracles
 from permstack.words import (
     PatternSet,
+    _extend_occurrences,
+    _tightest_bounds,
     avoids_all,
     catalan,
     complement,
@@ -29,6 +31,12 @@ S2 = list(itertools.permutations((1, 2)))
 
 
 words4 = [w for w in itertools.product((1, 2, 3, 4), repeat=4)]
+
+
+def first_hit_from_right(w, p):
+    chosen = []
+    found = _extend_occurrences(w, *_tightest_bounds(p), chosen, 0, from_right=True)
+    return tuple(chosen) if found else None
 
 
 def test_contains_examples():
@@ -65,8 +73,9 @@ def test_occurrences_are_real_and_complete():
 
 def test_anchored_occurrences_are_those_at_index_zero():
     # the one search against the combination scan, on words with repeats:
-    # every occurrence in order, and an anchored hit exactly when a scanned
-    # occurrence starts at index 0
+    # every occurrence in order, an anchored hit exactly when a scanned
+    # occurrence starts at index 0, and the first hit from the right the
+    # last scanned occurrence
     patterns = [p for m in range(1, 5) for p in itertools.permutations(range(1, m + 1))]
     for length in range(6):
         for w in itertools.product((1, 2, 3, 4), repeat=length):
@@ -74,6 +83,7 @@ def test_anchored_occurrences_are_those_at_index_zero():
                 expected = list(oracles.occurrences(w, p))
                 assert list(occurrences(w, p)) == expected
                 assert contains(w, p, anchored=True) == any(i[0] == 0 for i in expected)
+                assert first_hit_from_right(w, p) == (expected[-1] if expected else None)
     # length 6: only the anchored answer, against the patterns of the
     # subwords that start at index 0 (the full scan would take seconds)
     for w in itertools.product((1, 2, 3, 4), repeat=6):
@@ -92,12 +102,14 @@ def test_anchored_occurrences_are_those_at_index_zero():
     st.booleans(),
 )
 def test_contains_agrees_with_occurrences(w, p, anchored):
-    # contains is the first hit of occurrences' search; both against the
-    # combination scan, up to pattern length 5
+    # contains is the first hit of occurrences' search, and the first hit
+    # from the right is its last; all against the combination scan, up to
+    # pattern length 5
     w, p = tuple(w), tuple(p)
     expected = list(oracles.occurrences(w, p))
     assert list(occurrences(w, p)) == expected
     assert contains(w, p, anchored) == any(i[0] == 0 or not anchored for i in expected)
+    assert first_hit_from_right(w, p) == (expected[-1] if expected else None)
 
 
 def test_avoids_all():
