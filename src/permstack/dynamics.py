@@ -302,9 +302,9 @@ def _machine_subtree(args: tuple[PatternSet, int, int]) -> list[Word]:
     return [sort(img, CLASSICAL_STACK) for img in _subtree_images((tset, n, start))]
 
 
-def machine_images(tset: PatternSet, n: int, workers: int = 1) -> list[Word]:
+def machine_images(tset: PatternSet, n: int) -> list[Word]:
     """Two-stage machine outputs across S_n in lexicographic input order."""
-    return _sweep(_machine_subtree, tset, n, workers)
+    return _sweep(_machine_subtree, tset, n, 1)
 
 
 def _feed(ys, two: list[int], m: int) -> int:
@@ -378,7 +378,7 @@ def _subtree_count(args: tuple[PatternSet, int, int]) -> list[int]:
 WALK_MIN_N = 3
 
 
-def sort_count(tset: PatternSet, n: int, workers: int = 1) -> int:
+def sort_count(tset: PatternSet, n: int) -> int:
     """How many permutations of S_n the two-stage machine sorts.
 
     From n = WALK_MIN_N up, a depth-first walk over input prefixes that
@@ -390,14 +390,15 @@ def sort_count(tset: PatternSet, n: int, workers: int = 1) -> int:
     A complete prefix drains the first stack through the classical one and
     is sorted when no pop breaks that order.  Below WALK_MIN_N it counts
     the identity among machine_images, the walk's oracle in the tests.
+    It runs serially: the table fans out by rows (see build_sort_table).
 
     >>> from permstack.words import pattern_set
     >>> sort_count(pattern_set("123", "321"), 8)
     112
     """
     if n < WALK_MIN_N:
-        return machine_images(tset, n, workers).count(identity(n))
-    return sum(_sweep(_subtree_count, tset, n, workers))
+        return machine_images(tset, n).count(identity(n))
+    return sum(_sweep(_subtree_count, tset, n, 1))
 
 
 #: Previously reported counts for |sort_n| over all pairs of length-3

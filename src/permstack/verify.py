@@ -148,10 +148,7 @@ AGREEMENT_CAP = 6
 
 
 def _bound_failures(n: int, tset: PatternSet) -> Iterator[str]:
-    k = tset.min_len
-    if n < k - 2:
-        return
-    bound = catalan(n - k + 2)
+    bound = catalan(n - tset.min_len + 2)
     table = dyn.preimage_map(tset, n)
     over = (g for g, ps in table.items() if len(ps) > bound)
     disagree = (
@@ -180,9 +177,8 @@ def _sharpness_failures(n: int, pattern: Word, sharp: bool) -> Iterator[str]:
         return
     tset = PatternSet(frozenset({pattern}))
     rep = dyn.fertility_max(tset, n)
-    bound = catalan(n - k + 2)
-    if rep.max_count > bound or (rep.max_count == bound) != sharp:
-        yield f"n={n}: max {rep.max_count} {'!=' if sharp else 'reaches'} bound {bound}"
+    if rep.max_count > rep.bound or (rep.max_count == rep.bound) != sharp:
+        yield f"n={n}: max {rep.max_count} {'!=' if sharp else 'reaches'} bound {rep.bound}"
     if sharp:
         target = dyn.extremal_target(pattern, n)
         if target not in rep.witnesses:

@@ -8,10 +8,9 @@ Conventions shared by the whole package:
 - A *pattern* is a permutation of length at least 2.  PatternSet collects
   the configurations a sorting stack must avoid (see machine).
 
-Containment and occurrences are one depth-first search over pattern
-positions, a plain recursion: occurrences has it collect every hit, and
-contains has it stop at the first.  It can also try its candidates from
-the right, so that its first hit is the lexicographically greatest
+Containment is one depth-first search over pattern positions, a plain
+recursion that stops at its first hit.  It can also try its candidates
+from the right, so that its first hit is the lexicographically greatest
 occurrence; machine.clumping finds its witness that way.
 
 Everything here is a pure function on immutable tuples, so it is safe to
@@ -74,45 +73,29 @@ def _extend_occurrences(
     hi: tuple[int, ...],
     chosen: list[int],
     start: int,
-    hits: list[tuple[int, ...]] | None = None,
     from_right: bool = False,
 ) -> bool:
-    """Search depth first for occurrences whose first indices are `chosen`,
-    taking the next index from `start` on.  A letter is admitted when it
-    lies strictly between the letters at its two tightest bounds.
+    """Search depth first for an occurrence whose first indices are
+    `chosen`, taking the next index from `start` on.  A letter is admitted
+    when it lies strictly between the letters at its two tightest bounds.
 
-    Without `hits`, return True at the first hit and leave it in `chosen`.
-    With a list, append every hit to it as a tuple and return False.  Hits
-    come in lexicographic order of the index sequence, or in reverse
-    lexicographic order when from_right tries the candidates from the right,
-    so that the first hit is then the lexicographically greatest."""
+    Return True at the first hit and leave its indices in `chosen`, or
+    False when there is none.  The first hit is the lexicographically least
+    such occurrence, or the greatest when from_right tries the candidates
+    from the right."""
     t, m = len(chosen), len(lo)
     if t == m:
-        if hits is None:
-            return True
-        hits.append(tuple(chosen))
-        return False
+        return True
     low = w[chosen[lo[t]]] if lo[t] >= 0 else -math.inf
     high = w[chosen[hi[t]]] if hi[t] >= 0 else math.inf
     stop = len(w) - m + t + 1
     for i in range(stop - 1, start - 1, -1) if from_right else range(start, stop):
         if low < w[i] < high:
             chosen.append(i)
-            if _extend_occurrences(w, lo, hi, chosen, i + 1, hits, from_right):
+            if _extend_occurrences(w, lo, hi, chosen, i + 1, from_right):
                 return True
             chosen.pop()
     return False
-
-
-def occurrences(w: Word, p: Word) -> Iterator[tuple[int, ...]]:
-    """Yield every ascending index tuple whose letters in w form the pattern p.
-
-    p must be a permutation.  Tuples come out in lexicographic order of the
-    index sequence.
-    """
-    hits: list[tuple[int, ...]] = []
-    _extend_occurrences(w, *_tightest_bounds(p), [], 0, hits)
-    return iter(hits)
 
 
 def contains(w: Word, p: Word, anchored: bool = False) -> bool:
@@ -130,11 +113,6 @@ def contains(w: Word, p: Word, anchored: bool = False) -> bool:
     # anchor: the plain search answers it.
     chosen, start = ([0], 1) if anchored and w and p else ([], 0)
     return _extend_occurrences(w, *_tightest_bounds(p), chosen, start)
-
-
-def avoids(w: Word, p: Word) -> bool:
-    """True when w has no occurrence of the pattern p."""
-    return not contains(w, p)
 
 
 def avoids_all(w: Word, patterns: Iterable[Word]) -> bool:
@@ -217,13 +195,6 @@ class PatternSet:
     @property
     def min_len(self) -> int:
         return min(len(p) for p in self.patterns)
-
-    @property
-    def is_reduced(self) -> bool:
-        """True when no member contains another member."""
-        return not any(
-            p != q and contains(p, q) for p in self.patterns for q in self.patterns
-        )
 
     def reversed(self) -> "PatternSet":
         return PatternSet(frozenset(reverse(p) for p in self.patterns))

@@ -33,7 +33,6 @@ from permstack.words import (
     catalan,
     contains,
     enumerate_permutations,
-    occurrences,
     pattern_set,
     reverse,
 )
@@ -474,12 +473,6 @@ def test_clumping_well_formed_small(tset):
             assert tuple(rank[v] for v in witness) == reverse(c.witness_pattern)
             sigma, idxs = oracle_clumping_witness(p, tset)
             assert c.witness_indices == idxs
-            # no colex-smaller witness exists
-            assert all(
-                colex_key(c.witness_indices) <= colex_key(other)
-                for s in tset
-                for other in occurrences(p, reverse(s))
-            )
 
 
 @pytest.mark.parametrize("tset", CLUMPING_SETS)

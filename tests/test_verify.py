@@ -62,7 +62,7 @@ FAULTS = {
     "conjecture-refuted": [
         (dyn, "trivial_periodic_points_only", lambda tset, n: (False, (2, 1)))
     ],
-    "sort-count-zero": [(dyn, "sort_count", lambda tset, n, workers=1: 0)],
+    "sort-count-zero": [(dyn, "sort_count", lambda tset, n: 0)],
 }
 
 
