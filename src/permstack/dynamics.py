@@ -2,9 +2,12 @@
 
 Bijectivity and the reverse-conjugate inverse, the two-stage machine and
 its identity-preimage counts, preimage (fertility) enumeration against the
-Catalan bound, the extremal constructions that meet the bound, complement
-conjugation, and periodic-orbit structure.  Everything is exhaustive and
-desk scale: sweeps refuse n beyond words.MAX_ENUM_N.
+Catalan bound, the extremal constructions that meet the bound, and
+periodic-orbit structure.  Everything is exhaustive and desk scale: sweeps
+refuse n beyond words.MAX_ENUM_N.  This module computes the maps and their
+reductions; the claims made of them, complement conjugation and the
+periodic-point conjectures among them, are stated in verify, each as its
+own search.
 
 Sweeps walk the permutation prefix tree so machine state is shared across
 inputs with a common prefix; results are identical to sorting each
@@ -68,7 +71,6 @@ from .words import (
     is_permutation,
     pattern_set,
     reverse,
-    reverse_identity,
     swap_first_two,
 )
 
@@ -657,20 +659,6 @@ def extremal_family(pattern: Word, n: int) -> set[Word]:
 
 
 # ---------------------------------------------------------------------------
-# complement conjugation
-
-
-def complement_conjugation_check(tset: PatternSet, n: int) -> bool:
-    """Sorting the complement under the complemented patterns must equal the
-    complement of the sorted original, across all of S_n."""
-    comp_tset = tset.complemented()
-    return all(
-        sort(complement(p), comp_tset) == complement(img)
-        for p, img in zip(enumerate_permutations(n), sort_images(tset, n))
-    )
-
-
-# ---------------------------------------------------------------------------
 # periodic structure
 
 
@@ -764,10 +752,3 @@ def periodic_points(tset: PatternSet, n: int) -> set[Word]:
     """All permutations of S_n lying on a cycle of the map."""
     return {p for cycle in orbit_partition(tset, n) for p in cycle}
 
-
-def trivial_periodic_points_only(tset: PatternSet, n: int) -> tuple[bool, Word | None]:
-    """Check that nothing but the identity and its reverse is periodic;
-    returns (verdict, counterexample), the counterexample being the least
-    other periodic point when the check fails."""
-    extras = sorted(periodic_points(tset, n) - {identity(n), reverse_identity(n)})
-    return (not extras, extras[0] if extras else None)

@@ -400,18 +400,6 @@ def _balanced_completions(prefix: str, enters: int, height: int) -> Iterator[str
         yield from _balanced_completions(prefix + EXIT, enters, height - 1)
 
 
-def is_legal_movement_sequence(steps: str, n: int, tset: PatternSet) -> bool:
-    """Shape test for candidate sequences of a length-n sort: with k the
-    shortest forbidden pattern length, the first k-2 steps must be enters,
-    the last k-2 exits, and the core in between balanced on its own."""
-    pad = tset.min_len - 2
-    if len(steps) != 2 * n or n < pad:
-        return False
-    if steps[:pad] != ENTER * pad or steps[len(steps) - pad :] != EXIT * pad:
-        return False
-    return is_movement_sequence(steps[pad : len(steps) - pad])
-
-
 def legal_movement_sequences(n: int, k: int) -> Iterator[str]:
     """Every candidate step string for sorting a length-n word when the
     shortest forbidden pattern has length k; catalan(n - k + 2) in all."""

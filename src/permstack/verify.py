@@ -4,7 +4,8 @@ Each suite sweeps S_n up to a cap and gives fine-grained Check records;
 a suite passes when every check does.  A check states its claim as an
 ordered, lazy search for counterexamples: it fails with the first one the
 search finds, described in its detail, and passes with an empty detail
-when the search runs out.
+when the search runs out.  Each claim is stated here, in its search, over
+the maps and reductions that dynamics computes.
 
 A suite lists its checks as units, (name, n, failures, *args): name is
 the check's name, n the largest size the unit sweeps, and failures a
@@ -36,7 +37,16 @@ from operator import attrgetter
 from . import dynamics as dyn
 from .machine import sort, sort_recursive
 from .textio import format_patterns, format_word
-from .words import PatternSet, Word, catalan, enumerate_permutations, pattern_set
+from .words import (
+    PatternSet,
+    Word,
+    catalan,
+    complement,
+    enumerate_permutations,
+    identity,
+    pattern_set,
+    reverse_identity,
+)
 
 
 @dataclass
@@ -278,8 +288,14 @@ COMPLEMENT_SETS = (
 
 
 def _complement_failures(n: int, tset: PatternSet) -> Iterator[str]:
-    if not dyn.complement_conjugation_check(tset, n):
-        yield f"fails at n={n}"
+    """Fails at n wherever sorting the complement under the complemented
+    patterns differs from the complement of the image."""
+    comp = tset.complemented()
+    return (
+        f"fails at n={n}"
+        for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n))
+        if sort(complement(p), comp) != complement(img)
+    )
 
 
 def suite_complement(max_n: int) -> list[tuple]:
@@ -312,9 +328,13 @@ CONJECTURE_SETS = (pattern_set("132", "213"), pattern_set("231", "213"))
 
 
 def _conjecture_failures(n: int, tset: PatternSet) -> Iterator[str]:
-    ok, witness = dyn.trivial_periodic_points_only(tset, n)
-    if not ok:
-        yield f"counterexample at n={n}: {format_word(witness)}"
+    """Fails at each periodic point, least first, other than the identity
+    and its reverse."""
+    trivial = {identity(n), reverse_identity(n)}
+    return (
+        f"counterexample at n={n}: {format_word(p)}"
+        for p in sorted(dyn.periodic_points(tset, n) - trivial)
+    )
 
 
 def suite_conjectures(max_n: int) -> list[tuple]:

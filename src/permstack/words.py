@@ -177,8 +177,8 @@ class PatternSet:
     Every pattern is a permutation of length at least 2: a length-1 pattern
     would forbid the stack from ever holding a letter, making the machine's
     pop-from-empty undefined, so construction rejects it.  The set need not
-    be reduced; use reduce_patterns for the canonical reduced equivalent,
-    which drives the same machine.
+    be reduced: a member that contains another forbids no stack the other
+    allows, so dropping it drives the same machine.
     """
 
     patterns: frozenset[Word]
@@ -195,9 +195,6 @@ class PatternSet:
     @property
     def min_len(self) -> int:
         return min(len(p) for p in self.patterns)
-
-    def reversed(self) -> "PatternSet":
-        return PatternSet(frozenset(reverse(p) for p in self.patterns))
 
     def complemented(self) -> "PatternSet":
         return PatternSet(frozenset(complement(p) for p in self.patterns))
@@ -219,20 +216,6 @@ def pattern_set(*patterns) -> PatternSet:
     3
     """
     return PatternSet(frozenset(_as_pattern(p) for p in patterns))
-
-
-def reduce_patterns(patterns: Iterable) -> PatternSet:
-    """Drop every pattern that contains another member.
-
-    The reduced set drives the same machine as the original, which the test
-    suite checks by exhaustive sweep.
-
-    >>> sorted(reduce_patterns([(2, 1), (3, 2, 1), (2, 3, 1)]))
-    [(2, 1)]
-    """
-    pats = {_as_pattern(p) for p in patterns}
-    kept = {p for p in pats if not any(q != p and contains(p, q) for q in pats)}
-    return PatternSet(frozenset(kept))
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,15 @@
 """Brute-force oracles the tests compare the library with.
 
 Each is a straight transcription of a definition, written once.  Only
-machine_sort calls into permstack, for its first stage, the pattern stack
-that naive_sort checks.
+machine_sort runs permstack's machine, for its first stage, the pattern
+stack that naive_sort checks.  The pattern-set oracles build permstack
+pattern sets, and is_legal_movement_sequence takes permstack's Dyck test
+for its core.
 """
 
 import itertools
 
-from permstack.machine import sort
+from permstack.machine import ENTER, EXIT, is_movement_sequence, sort
 from permstack.words import pattern_set
 
 
@@ -90,4 +92,34 @@ def naive_machine_count(first, second, n):
         1
         for p in itertools.permutations(range(1, n + 1))
         if naive_sort(naive_sort(p, [first, second]), [(2, 1)]) == target
+    )
+
+
+def reversed_patterns(tset):
+    # each forbidden pattern read right to left
+    return {p[::-1] for p in tset}
+
+
+def reduce_patterns(patterns):
+    """Drop every pattern that contains another member; the reduced set
+    drives the same machine.
+
+    >>> sorted(reduce_patterns([(2, 1), (3, 2, 1), (2, 3, 1)]))
+    [(2, 1)]
+    """
+    pats = pattern_set(*patterns).patterns
+    return pattern_set(*(p for p in pats if not any(q != p and contains(p, q) for q in pats)))
+
+
+def is_legal_movement_sequence(steps, n, tset):
+    # the shape of a length-n sort's steps: with k the shortest forbidden
+    # pattern length, the first k-2 steps enter, the last k-2 exit, and the
+    # core in between is balanced on its own
+    pad = tset.min_len - 2
+    return (
+        len(steps) == 2 * n
+        and n >= pad
+        and steps[:pad] == ENTER * pad
+        and steps[len(steps) - pad :] == EXIT * pad
+        and is_movement_sequence(steps[pad : len(steps) - pad])
     )

@@ -15,11 +15,13 @@ import oracles
 from oracles import machine_sort
 from permstack import dynamics as dyn, machine, words
 from permstack.machine import clumping, legal_movement_sequences, sort, sort_recursive
+from permstack.textio import parse_word
 from permstack.verify import (
     COMPLEMENT_SETS,
     RECURSION_SETS,
     SUITES,
-    _small_pattern_sets,
+    _complement_failures,
+    _conjecture_failures,
     run_suites,
 )
 from permstack.words import (
@@ -107,17 +109,6 @@ def test_verify_bijective_finds_known_collisions():
     assert table[(2, 1, 3)] == {(2, 3, 1)}
 
 
-# {123}, not swap-closed, and {123,213}, swap-closed, each id its place in
-# _small_pattern_sets(); criterion 4 checks all 22 small sets to n = 7
-@pytest.mark.parametrize(
-    "tset", [pytest.param(_small_pattern_sets()[i], id=f"tset{i}") for i in (0, 7)]
-)
-def test_criterion_matches_exhaustive_sweep(tset):
-    crit = dyn.bijectivity_criterion(tset)
-    injective = all(dyn.verify_bijective(tset, n) is True for n in range(1, 6))
-    assert crit == injective
-
-
 def test_inverse_sort_round_trip():
     tset = pattern_set("123", "213")
     for n in range(0, 7):
@@ -134,7 +125,7 @@ def test_inverse_sort_hand_case():
 
 def test_inverse_sort_on_reversed_avoider():
     tset = pattern_set("123", "213")
-    rev = tset.reversed()
+    rev = oracles.reversed_patterns(tset)
     for w in enumerate_avoiders(5, rev):
         assert dyn.inverse_sort(reverse(w), tset) == w
 
@@ -447,7 +438,7 @@ def test_extremal_family_213_shape(n):
 
 def test_complement_conjugation_pointwise():
     # the complement suite sweeps n >= 1; the empty word is checked here
-    assert all(dyn.complement_conjugation_check(t, 0) for t in COMPLEMENT_SETS)
+    assert all(list(_complement_failures(0, t)) == [] for t in COMPLEMENT_SETS)
     tset = pattern_set("123", "132")
     comp = tset.complemented()
     assert sorted(comp) == [(3, 1, 2), (3, 2, 1)]
@@ -516,9 +507,11 @@ def test_image_size():
 
 
 def test_trivial_periodic_points_only():
-    assert dyn.trivial_periodic_points_only(pattern_set("132", "213"), 5) == (True, None)
-    ok, witness = dyn.trivial_periodic_points_only(T_MAIN, 5)
-    assert not ok
+    # the conjectures suite's search, and the counterexample it reports
+    # for {123,132}, whose periodic points are the half-decreasing ones
+    assert list(_conjecture_failures(5, pattern_set("132", "213"))) == []
+    detail = next(_conjecture_failures(5, T_MAIN))
+    witness = parse_word(detail.removeprefix("counterexample at n=5: "))
     assert dyn.is_half_decreasing(witness)
     assert witness not in {identity(5), reverse_identity(5)}
 

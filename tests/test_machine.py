@@ -8,7 +8,15 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_sort, naive_trace, pattern_of, textbook_stack_sort
+from oracles import (
+    is_legal_movement_sequence,
+    naive_sort,
+    naive_trace,
+    pattern_of,
+    reduce_patterns,
+    reversed_patterns,
+    textbook_stack_sort,
+)
 from permstack import machine
 from permstack.dynamics import MEMO_MIN_LEFT, preimages, sort_images
 from permstack.machine import (
@@ -19,7 +27,6 @@ from permstack.machine import (
     _push,
     _push_keeps_avoiding,
     clumping,
-    is_legal_movement_sequence,
     is_movement_sequence,
     legal_movement_sequences,
     movement_sequences,
@@ -51,7 +58,7 @@ def test_sort_hand_traces():
 
 def test_sort_reverses_when_no_reversed_pattern_fits():
     for tset in (T_MAIN, pattern_set("213", "231"), CLASSICAL):
-        rev = tset.reversed()
+        rev = reversed_patterns(tset)
         for n in range(0, 6):
             for p in enumerate_permutations(n):
                 if avoids_all(p, rev):
@@ -445,7 +452,7 @@ def test_clumping_hand_cases():
 
 def test_clumping_none_iff_avoiding_reversed():
     for tset in (T_MAIN, pattern_set("213", "231")):
-        rev = tset.reversed()
+        rev = reversed_patterns(tset)
         for p in enumerate_permutations(5):
             assert (clumping(p, tset) is None) == avoids_all(p, rev)
 
@@ -514,8 +521,6 @@ def test_mixed_length_pattern_sets_clump_and_sort_consistently():
 
 
 def test_reduction_preserves_sorting():
-    from permstack.words import reduce_patterns
-
     tset = pattern_set("21", "321", "231")
     reduced = reduce_patterns(["21", "321", "231"])
     assert sorted(reduced) == [(2, 1)]

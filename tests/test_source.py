@@ -56,32 +56,81 @@ def module_definitions(tree: ast.Module) -> set[str]:
     return names
 
 
+def store_bases(tree: ast.AST) -> set[int]:
+    """The ids of the names whose attribute is assigned, as `f` in
+    `f.x = ...`: setting an attribute does not read the name."""
+    return {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+    }
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """The plain names a module reads, leaving out the bases of attribute
+    stores."""
+    stored = store_bases(tree)
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in stored
+    }
+
+
+def read_attributes(tree: ast.AST) -> set[str]:
+    """The attribute names a module reads."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def loaded_names(tree: ast.AST, imports: bool) -> set[str]:
-    """The names a module reads: each name loaded, each attribute, and, when
-    `imports`, each name a from-import brings in."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif imports and isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+    """The names a module reads: each name and each attribute read, and,
+    when `imports`, each name a from-import brings in."""
+    names = read_names(tree) | read_attributes(tree)
+    if imports:
+        names.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
     return names
 
 
+def test_attribute_store_is_not_a_read():
+    tree = ast.parse("def f():\n    pass\n\nf.info = g\nh.x.y = 1\n")
+    assert loaded_names(tree, False) == {"g", "h", "x"}
+
+
 #: The module-level definitions in src/ that only the tests read, each kept
-#: for a reason: the inventory of oracle-only code.
+#: for a reason that names what it waits on: the inventory of oracle-only
+#: code.
 TESTED_ONLY = {
+    "machine.py:_push_keeps_avoiding":
+        "push-table oracle; the tracer reads its `cache_info` until ROADMAP 1b",
     "dynamics.py:_preimages_by_moves":
-        "the oracle of preimages; it carries the movement-sequence calculus",
-    "machine.py:is_legal_movement_sequence":
-        "the shape lemma behind catalan(n-k+2), checked on every trace",
+        "oracle of preimages; the tracer hooks `dynamics.reconstruct_input`,"
+        " which only it calls, until ROADMAP 1b",
     "dynamics.py:is_half_increasing":
-        "acceptance criterion 11's object, until that criterion becomes a suite",
-    "words.py:reduce_patterns":
-        "the reduction lemma that test_reduction_preserves_sorting checks",
+        "acceptance criterion 11's object, until ROADMAP 3 makes that criterion a suite",
 }
+
+
+def public_methods(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (class, name) of each public, non-dunder function defined in a
+    top-level class body, properties included."""
+    return {
+        (cls.name, fn.name)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, FUNCTIONS) and not fn.name.startswith("_")
+    }
 
 
 def test_every_module_definition_is_used():
@@ -101,6 +150,47 @@ def test_every_module_definition_is_used():
     assert sorted(unused - TESTED_ONLY.keys()) == []
     # an entry that gains a caller, or is deleted, leaves the list
     assert sorted(TESTED_ONLY.keys() - unused) == []
+    # a method is read as an attribute: a plain name that matches it, as
+    # the builtin `reversed` would match PatternSet.reversed, does not count
+    attributes = set().union(*map(read_attributes, trees.values()))
+    unread = [
+        f"{path.name}:{cls}.{name}"
+        for path, tree in trees.items()
+        for cls, name in sorted(public_methods(tree))
+        if name not in attributes
+    ]
+    assert unread == []
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module's imports bind, with its line; `from __future__`
+    binds none."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((a.asname or a.name, node.lineno) for a in node.names)
+    return names
+
+
+def test_detector_finds_an_unused_import():
+    tree = ast.parse("import os\nfrom math import pi, tau as t\nprint(pi)\n")
+    assert sorted(imported_names(tree).keys() - read_names(tree)) == ["os", "t"]
+
+
+def test_every_import_is_read():
+    # __init__ imports to re-export; every other module reads what it imports
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text())
+            imported = imported_names(tree)
+            unread += [
+                f"{path.name}:{imported[name]} {name}"
+                for name in sorted(imported.keys() - read_names(tree))
+            ]
+    assert unread == []
 
 
 def pool_constructions(tree: ast.AST) -> list[tuple[int, bool]]:

@@ -58,9 +58,9 @@ FAULTS = {
         (dyn, "is_half_decreasing", lambda p: False),
         (verify, "_half_decreasing", verify._half_decreasing.__wrapped__),
     ],
-    "complement-fails": [(dyn, "complement_conjugation_check", lambda tset, n: False)],
+    "complement-fails": [(verify, "_complement_failures", lambda n, tset: [f"fails at n={n}"])],
     "conjecture-refuted": [
-        (dyn, "trivial_periodic_points_only", lambda tset, n: (False, (2, 1)))
+        (verify, "_conjecture_failures", lambda n, tset: [f"counterexample at n={n}: 21"])
     ],
     "sort-count-zero": [(dyn, "sort_count", lambda tset, n: 0)],
 }
