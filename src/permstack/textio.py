@@ -1,19 +1,27 @@
 """Text formats for words and pattern sets.
 
-Word syntax: comma-separated decimal letters ("5,2,4,1,3"), compact digits
-("52413", letters 1..9 only), or bracketed ("[10,2,1]"; "[]" is the empty
-word).  Pattern-set syntax: comma-separated compact patterns ("123,132");
-a pattern with letters past 9 needs the bracket form ("[10,2,...]").
-Letters are written in the ASCII digits 0-9 only.
+One grammar covers both.  A word is written compactly, one digit per
+letter ("52413", letters 1..9 only), as comma-separated decimal letters
+("5,2,4,1,3", or "10" for the one letter 10), or bracketed ("[10,2,1]";
+"[]" is the empty word).  A pattern set is comma-separated patterns, each
+a word in compact or bracket form ("123,132", "[10,2,1,3,4,5,6,7,8,9],21").
+Brackets do not nest, and letters are written in the ASCII digits 0-9 only.
 """
 
 from __future__ import annotations
+
+import re
 
 from .words import PatternSet, Word
 
 
 class ParseError(ValueError):
     """Malformed word or pattern text."""
+
+
+#: A pattern-set item: the text up to a comma outside brackets.  A stray
+#: bracket stays in its item, for parse_word to reject.
+_PATTERN_ITEM = re.compile(r"(?:\[[^\[\]]*\]|[^,])+")
 
 
 def _parse_letter(item: str) -> int:
@@ -24,13 +32,6 @@ def _parse_letter(item: str) -> int:
     if v < 1:
         raise ParseError(f"bad letter {item!r}: letters start at 1")
     return v
-
-
-def _parse_comma_letters(body: str) -> Word:
-    body = body.strip()
-    if not body:
-        return ()
-    return tuple(_parse_letter(item) for item in body.split(","))
 
 
 def parse_word(text: str) -> Word:
@@ -44,20 +45,16 @@ def parse_word(text: str) -> Word:
     (10, 2, 1)
     """
     t = text.strip()
-    if not t:
-        return ()
     if t.startswith("["):
         if not t.endswith("]"):
             raise ParseError(f"unclosed bracket in {text!r}")
-        return _parse_comma_letters(t[1:-1])
-    if "," in t:
-        return _parse_comma_letters(t)
-    if not (t.isascii() and t.isdigit()):
-        raise ParseError(f"cannot parse word {text!r}")
-    if len(t) == 1 or "0" in t:
-        # a lone decimal letter ("7", "10"); compact form has no room for 0
-        return (_parse_letter(t),)
-    return tuple(int(ch) for ch in t)
+        t = t[1:-1]
+    elif t.isascii() and t.isdigit() and "0" not in t:
+        return tuple(int(ch) for ch in t)
+    if not t.strip():
+        return ()
+    # the bracket and comma forms, and a lone letter with a 0 ("10")
+    return tuple(_parse_letter(item) for item in t.split(","))
 
 
 def format_word(w: Word) -> str:
@@ -79,54 +76,25 @@ def format_word(w: Word) -> str:
     return ",".join(str(x) for x in w)
 
 
-def _split_top_level(text: str) -> list[str]:
-    items: list[str] = []
-    cur: list[str] = []
-    depth = 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-            cur.append(ch)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    items.append("".join(cur))
-    return [item.strip() for item in items]
-
-
-def _parse_pattern_item(item: str) -> Word:
-    if item.startswith("["):
-        if not item.endswith("]"):
-            raise ParseError(f"unclosed bracket in pattern {item!r}")
-        return _parse_comma_letters(item[1:-1])
-    if not (item.isascii() and item.isdigit()):
-        raise ParseError(f"cannot parse pattern {item!r}")
-    if "0" in item:
-        raise ParseError(
-            f"pattern {item!r}: compact letters are 1..9; use [a,b,...] past 9"
-        )
-    return tuple(int(ch) for ch in item)
-
-
 def parse_patterns(text: str) -> PatternSet:
     """Parse a pattern set such as "123,132" or "[10,2,1],21".
 
-    Syntax problems raise ParseError; a syntactically fine but invalid set
-    (empty, length-1 pattern, non-permutation) raises the PatternSet's own
-    ValueError.
+    Syntax problems, a compact pattern with a 0 among them, raise
+    ParseError; a syntactically fine but invalid set (empty, length-1
+    pattern, non-permutation) raises the PatternSet's own ValueError.
     """
-    items = [item for item in _split_top_level(text) if item]
-    return PatternSet(frozenset(_parse_pattern_item(item) for item in items))
+    items = [item.strip() for item in _PATTERN_ITEM.findall(text)]
+    for item in items:
+        if "0" in item and not item.startswith("["):
+            raise ParseError(f"pattern {item!r}: compact letters are 1..9; use [a,b,...] past 9")
+    return PatternSet(frozenset(parse_word(item) for item in items if item))
 
 
 def format_patterns(tset: PatternSet) -> str:
-    return ",".join(format_word(p) for p in tset)
+    """Render a pattern set that parse_patterns reads back: a pattern
+    with a letter past 9 is bracketed.
+
+    >>> format_patterns(parse_patterns("[10,2,1,3,4,5,6,7,8,9],21"))
+    '21,[10,2,1,3,4,5,6,7,8,9]'
+    """
+    return ",".join(format_word(p) if max(p) <= 9 else f"[{format_word(p)}]" for p in tset)

@@ -288,11 +288,12 @@ COMPLEMENT_SETS = (
 
 
 def _complement_failures(n: int, tset: PatternSet) -> Iterator[str]:
-    """Fails at n wherever sorting the complement under the complemented
-    patterns differs from the complement of the image."""
+    """Fails at each permutation, in lexicographic order, whose complement
+    sorts under the complemented patterns to other than its image's
+    complement."""
     comp = tset.complemented()
     return (
-        f"fails at n={n}"
+        f"fails at {format_word(p)}"
         for p, img in zip(enumerate_permutations(n), dyn.sort_images(tset, n))
         if sort(complement(p), comp) != complement(img)
     )

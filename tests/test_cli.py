@@ -81,6 +81,20 @@ def test_exit_code_invalid_pattern_set(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "option, text, code, prefix",
+    [("--perm", w, 2, "error: bad --perm") for w in ("12a", "1,,2", "[1,2", "3.1", "1,-2")]
+    + [("--patterns", t, 2, "error: bad --patterns") for t in ("1[2", "12]3", "1a2", "[1,2")]
+    + [("--patterns", t, 3, "error: invalid pattern set") for t in ("11", "13", "21,1", "122", ",")],
+)
+def test_malformed_input_exit_codes(capsys, option, text, code, prefix):
+    """The bad words and pattern sets of the benchmark's query workload."""
+    args = {"--patterns": "123,132", "--perm": "312", option: text}
+    got, out, err = run(capsys, "sort", *(x for kv in args.items() for x in kv))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
 def test_exit_code_cap_exceeded(capsys):
     code, _, err = run(capsys, "image", "--patterns", "123", "--n", "13")
     assert code == 4

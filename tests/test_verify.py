@@ -12,7 +12,7 @@ import pytest
 from permstack import dynamics as dyn
 from permstack import verify
 from permstack.textio import format_word
-from permstack.words import enumerate_permutations, identity
+from permstack.words import PatternSet, enumerate_permutations, identity
 
 
 _criterion = dyn.bijectivity_criterion
@@ -58,7 +58,7 @@ FAULTS = {
         (dyn, "is_half_decreasing", lambda p: False),
         (verify, "_half_decreasing", verify._half_decreasing.__wrapped__),
     ],
-    "complement-fails": [(verify, "_complement_failures", lambda n, tset: [f"fails at n={n}"])],
+    "complement-fails": [(PatternSet, "complemented", lambda tset: tset)],
     "conjecture-refuted": [
         (verify, "_conjecture_failures", lambda n, tset: [f"counterexample at n={n}: 21"])
     ],
